@@ -1,6 +1,6 @@
 """Tracing an instrumented optimization run, end to end.
 
-A small slice of the paper's Table 1 setup — the class-F power
+A small slice of the paper's Table 1 setup — the class-E power
 amplifier optimized by the multi-fidelity strategy over an async
 two-worker evaluator farm — with span tracing enabled. Every layer
 contributes spans to one trace file:

@@ -174,9 +174,9 @@ class PowerAmplifierProblem(Problem):
     ======  =============================  ==========
 
     Constraint thresholds default to values calibrated for this scaled
-    testbench so the feasible region is a meaningful subset of the space
-    (see EXPERIMENTS.md); the paper's 23 dBm / 13.65 dB apply to its
-    2048-cell 2.4 GHz array.
+    testbench so the feasible region is a meaningful subset of the
+    space; the paper's 23 dBm / 13.65 dB apply to its 2048-cell 2.4 GHz
+    array.
     """
 
     name = "power-amplifier"

@@ -5,7 +5,6 @@ Rule families (IDs are stable; the full catalog is in the README's
 
 * ``REPRO-RNG00x`` — RNG discipline (:mod:`.rng`)
 * ``REPRO-SER00x`` — serialization round-trips (:mod:`.serialization`)
-* ``REPRO-STAMP00x`` — MNA stamp conformance (:mod:`.stamps`)
 * ``REPRO-FAIL00x`` — failure-path finiteness (:mod:`.failures`)
 * ``REPRO-CONC00x`` — executor hygiene (:mod:`.concurrency`)
 * ``REPRO-OBS00x`` — timing discipline (:mod:`.obs`)
@@ -23,7 +22,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from . import concurrency, failures, obs, rng, serialization, stamps
+from . import concurrency, failures, obs, rng, serialization
 from .engine import (
     Finding,
     ModuleSource,
@@ -45,7 +44,7 @@ __all__ = [
     "update_schema_manifest",
 ]
 
-_CHECKER_MODULES = (rng, serialization, stamps, failures, concurrency, obs)
+_CHECKER_MODULES = (rng, serialization, failures, concurrency, obs)
 
 #: rule ID -> one-line summary, across every checker.
 ALL_RULES: dict[str, str] = {}
@@ -82,7 +81,6 @@ def run_lint(
     checkers = [
         (rng.RULES, rng.check),
         (serialization.RULES, _serialization_check),
-        (stamps.RULES, stamps.check),
         (failures.RULES, failures.check),
         (concurrency.RULES, concurrency.check),
         (obs.RULES, obs.check),

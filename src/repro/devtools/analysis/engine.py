@@ -2,9 +2,9 @@
 
 The suite is a set of repo-specific AST checkers, each enforcing an
 invariant the optimizer stack depends on but Python cannot express in
-types: spawned-RNG determinism, checkpoint schema completeness, the MNA
-``stamp_pattern``/``stamp_values`` contract, finite failure paths and
-executor hygiene. This module provides the shared plumbing:
+types: spawned-RNG determinism, checkpoint schema completeness, finite
+failure paths and executor hygiene. This module provides the shared
+plumbing:
 
 * :class:`Finding` — one diagnostic, rendered ``path:line: RULE-ID msg``.
 * :class:`ModuleSource` — a parsed module plus its inline suppressions.

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for the paper's key design choices.
 
 * ``abl1_fusion``: NARGP nonlinear fusion (the paper's choice) vs the
   Kennedy-O'Hagan linear AR1 model (paper eq. 7) as the surrogate in the

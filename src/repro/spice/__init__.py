@@ -2,7 +2,6 @@
 
 from .ac import (
     ACSolution,
-    assemble_ac_system,
     phase_margin,
     solve_ac,
     unity_gain_frequency,
@@ -11,7 +10,6 @@ from .backend import (
     SPARSE_AUTO_THRESHOLD,
     DenseBackend,
     SparseBackend,
-    StampPattern,
     resolve_backend,
 )
 from .dc import ConvergenceError, DCSolution, solve_dc
@@ -21,7 +19,6 @@ from .elements import (
     VCVS,
     Capacitor,
     CurrentSource,
-    DenseStampAccumulator,
     Diode,
     Element,
     Inductor,
@@ -50,18 +47,15 @@ __all__ = [
     "SineWave",
     "PulseWave",
     "StampContext",
-    "DenseStampAccumulator",
     "solve_dc",
     "DCSolution",
     "ConvergenceError",
     "DenseBackend",
     "SparseBackend",
-    "StampPattern",
     "resolve_backend",
     "SPARSE_AUTO_THRESHOLD",
     "solve_ac",
     "ACSolution",
-    "assemble_ac_system",
     "unity_gain_frequency",
     "phase_margin",
     "simulate_transient",

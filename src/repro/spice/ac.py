@@ -24,38 +24,17 @@ import numpy as np
 
 from .backend import resolve_backend
 from .dc import solve_dc
-from .elements import StampContext
 from .netlist import Circuit
 
 __all__ = [
     "ACSolution",
     "solve_ac",
-    "assemble_ac_system",
     "unity_gain_frequency",
     "phase_margin",
 ]
 
 #: Magnitude floor that keeps dB conversions finite.
 _MAG_FLOOR = 1e-300
-
-
-def assemble_ac_system(
-    circuit: Circuit, x_op: np.ndarray, gmin: float = 1e-12
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stamp the small-signal system at ``x_op``.
-
-    Returns ``(G, C, B)`` such that the AC response at angular frequency
-    ``omega`` solves ``(G + j omega C) X = B``.
-    """
-    circuit._elaborate_if_needed()
-    n = circuit.size
-    conductance = np.zeros((n, n))
-    susceptance = np.zeros((n, n))
-    rhs = np.zeros(n, dtype=complex)
-    ctx = StampContext(mode="ac", gmin=gmin)
-    for element in circuit.elements:
-        element.ac_stamp(conductance, susceptance, rhs, x_op, ctx)
-    return conductance, susceptance, rhs
 
 
 def solve_ac(

@@ -3,28 +3,34 @@
 Every analysis in :mod:`repro.spice` reduces to solving linear systems
 with the *same sparsity structure*: the Newton system ``J dx = -r``
 (DC and transient) and the small-signal sweep ``(G + j omega C) X = B``
-(AC). A backend owns that structure for one circuit and solves those
-systems:
+(AC). A backend compiles one circuit once, when it is built, and then
+assembles and solves those systems:
 
-* :class:`DenseBackend` — assembles dense matrices and calls
-  ``numpy.linalg.solve``; bit-compatible with the historical behavior
-  and fastest for small netlists (a few dozen unknowns). The AC sweep is
+* Compilation asks every element for its stamp functions
+  (:meth:`~repro.spice.elements.Element.compile` and friends), which
+  close over flat integer *slots*: ``row * n + col`` in the dense
+  backend, the CSC data position in the sparse one, and a dump slot
+  for ground. Assembly runs those functions in circuit order over flat
+  Python-float workspaces and converts the result to arrays once.
+* :class:`DenseBackend` — dense matrices solved by LAPACK ``dgesv``;
+  fastest for small netlists (a few dozen unknowns). The AC sweep is
   chunked so a long frequency grid never materializes the full
   ``(n_f, n, n)`` tensor at once.
-* :class:`SparseBackend` — performs the symbolic analysis once per
-  circuit: elements declare their stamp footprint via
-  :meth:`~repro.spice.elements.Element.stamp_pattern`, the union pattern
-  is frozen into a CSC structure, and every subsequent assembly only
-  writes a flat value array. Systems are factorized with SuperLU
-  (``scipy.sparse.linalg.splu``); the numeric factorization is cached
-  and reused whenever the assembled values are unchanged — which makes
-  linear circuits factor once per transient run instead of once per
-  Newton iteration.
+* :class:`SparseBackend` — the slots the elements request form the
+  CSC pattern, frozen at build time. Systems are factorized with
+  SuperLU (``scipy.sparse.linalg.splu``); the numeric factorization is
+  cached and reused whenever the assembled values are unchanged — which
+  makes linear circuits factor once per transient run instead of once
+  per Newton iteration.
+
+A backend captures the element parameters of its circuit when it is
+built; edit an element and the backends already built for its circuit
+keep the old values. Every analysis builds its own backend unless one
+is passed in.
 
 ``resolve_backend(circuit, "auto")`` switches to the sparse backend at
 :data:`SPARSE_AUTO_THRESHOLD` unknowns, the empirical dense/sparse
-crossover for these Python-assembled systems (see
-``benchmarks/test_substrate_sparse.py``).
+crossover (see ``benchmarks/test_substrate_sparse.py``).
 
 Backends raise :class:`numpy.linalg.LinAlgError` on singular systems
 regardless of the underlying solver, so the analyses translate failures
@@ -35,12 +41,12 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse as _sparse
+from scipy.linalg.lapack import dgesv as _dgesv
 from scipy.sparse.linalg import splu as _splu
 
-from .elements import DenseStampAccumulator, StampContext
+from .elements import StampContext, _floats
 
 __all__ = [
-    "StampPattern",
     "DenseBackend",
     "SparseBackend",
     "resolve_backend",
@@ -55,111 +61,116 @@ SPARSE_AUTO_THRESHOLD = 128
 AC_CHUNK_BYTES = 32 * 1024 * 1024
 
 
-class StampPattern:
-    """Union sparsity pattern of a circuit's stamps (symbolic analysis).
+class _CompiledBackend:
+    """Compile step and workspace stamping shared by both backends.
 
-    Elements declare coordinates through :meth:`add` /
-    :meth:`add_pairwise`; ground indices (negative) are ignored. The
-    collected set is frozen into a CSC structure by
-    :meth:`csc_structure`, which also yields the slot map value
-    accumulators use to scatter numeric stamps in O(1).
+    A workspace is one flat list: ``n`` residual rows, then the matrix
+    slots, then the dump slot (index ``-1``) that ground rows and columns
+    write to. Subclasses define ``_slot(row, col)``, which returns ``-1``
+    when either index is ground, and set ``_size``, the number of matrix
+    slots. Element parameters are captured when the backend is built.
     """
-
-    def __init__(self, size: int):
-        self.size = int(size)
-        self._coords: set[tuple[int, int]] = set()
-
-    def add(self, row: int, col: int) -> None:
-        """Declare one matrix coordinate (no-op for ground indices)."""
-        if row >= 0 and col >= 0:
-            self._coords.add((row, col))
-
-    def add_pairwise(self, i: int, j: int) -> None:
-        """Declare the standard two-terminal conductance block."""
-        self.add(i, i)
-        self.add(i, j)
-        self.add(j, i)
-        self.add(j, j)
-
-    @property
-    def nnz(self) -> int:
-        """Number of structurally nonzero entries."""
-        return len(self._coords)
-
-    def csc_structure(self) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Freeze the pattern into ``(indices, indptr, slot_of)``.
-
-        ``indices``/``indptr`` are the CSC row-index and column-pointer
-        arrays for the declared coordinates (sorted by column, then
-        row); ``slot_of`` maps ``(row, col)`` to the position in the CSC
-        data array.
-        """
-        coords = sorted(self._coords, key=lambda rc: (rc[1], rc[0]))
-        indices = np.array([row for row, _ in coords], dtype=np.int32)
-        counts = np.zeros(self.size, dtype=np.int32)
-        for _, col in coords:
-            counts[col] += 1
-        indptr = np.zeros(self.size + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        slot_of = {coord: slot for slot, coord in enumerate(coords)}
-        return indices, indptr, slot_of
-
-
-class _SparseStampAccumulator:
-    """Scatters ``add(row, col, value)`` into a flat CSC data array."""
-
-    __slots__ = ("data", "slot_of")
-
-    def __init__(self, data: np.ndarray, slot_of: dict):
-        self.data = data
-        self.slot_of = slot_of
-
-    def add(self, row: int, col: int, value: float) -> None:
-        if row >= 0 and col >= 0:
-            self.data[self.slot_of[(row, col)]] += value
-
-
-class DenseBackend:
-    """Dense MNA assembly + LAPACK solves (the historical behavior)."""
-
-    name = "dense"
 
     def __init__(self, circuit):
         circuit._elaborate_if_needed()
         self.circuit = circuit
         self.n = circuit.size
+        elements = circuit.elements
+        self._stamps = [element.compile(self._slot) for element in elements]
+        self._ac_stamps = [element.compile_ac(self._slot) for element in elements]
+        self._accepts = [
+            accept
+            for accept in (element.compile_accept() for element in elements)
+            if accept is not None
+        ]
+
+    def _slot(self, row: int, col: int) -> int:
+        raise NotImplementedError
+
+    def _stamp_newton(self, x: np.ndarray, ctx: StampContext) -> np.ndarray:
+        """Run every Newton stamp at ``x``; returns the filled workspace."""
+        xs = _floats(x)
+        size = self.n + self._size + 1
+        work = [0.0] * size
+        for stamp in self._stamps:
+            stamp(xs, work, work, ctx)
+        return np.fromiter(work, float, size)
+
+    def _stamp_ac(self, x_op: np.ndarray, gmin: float):
+        """Run every AC stamp at ``x_op``; returns ``(cond, susc, rhs)``.
+
+        ``cond`` and ``susc`` are workspaces whose residual rows stay
+        zero; ``rhs`` is the excitation vector.
+        """
+        xs = _floats(x_op)
+        cond = [0.0] * (self.n + self._size + 1)
+        susc = [0.0] * (self.n + self._size + 1)
+        rhs = [0j] * (self.n + 1)
+        for stamp in self._ac_stamps:
+            stamp(xs, cond, susc, rhs, gmin)
+        return np.array(cond), np.array(susc), np.array(rhs, dtype=complex)[:-1]
+
+    def accept(self, x: np.ndarray, ctx: StampContext) -> None:
+        """Commit companion states once a transient step at ``x`` is accepted."""
+        if self._accepts:
+            xs = _floats(x)
+            for accept in self._accepts:
+                accept(xs, ctx)
+
+
+def _solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LU solve via LAPACK ``dgesv``, overwriting ``rhs``.
+
+    The same LAPACK routine ``numpy.linalg.solve`` calls, without its
+    per-call wrapping; a singular matrix raises ``LinAlgError`` too.
+    """
+    _, _, x, info = _dgesv(matrix, rhs, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x
+
+
+class DenseBackend(_CompiledBackend):
+    """Dense MNA assembly + LAPACK solves.
+
+    Entry ``(row, col)`` lives at slot ``n + row * n + col``, right after
+    the residual rows, so the matrix is a row-major view of the
+    workspace.
+    """
+
+    name = "dense"
+
+    def __init__(self, circuit):
+        super().__init__(circuit)
+        self._size = self.n * self.n
+
+    def _slot(self, row: int, col: int) -> int:
+        n = self.n
+        return n + row * n + col if row >= 0 and col >= 0 else -1
+
+    def _matrix(self, work: np.ndarray) -> np.ndarray:
+        return work[self.n : -1].reshape(self.n, self.n)
 
     # ------------------------------------------------------------------
     def assemble(
         self, x: np.ndarray, ctx: StampContext
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stamp the Newton system; returns ``(jacobian, residual)``."""
-        jacobian = np.zeros((self.n, self.n))
-        residual = np.zeros(self.n)
-        acc = DenseStampAccumulator(jacobian)
-        for element in self.circuit.elements:
-            element.stamp_values(acc, residual, x, ctx)
-        return jacobian, residual
+        work = self._stamp_newton(x, ctx)
+        return self._matrix(work), work[: self.n]
 
     def solve_newton(self, x: np.ndarray, ctx: StampContext) -> np.ndarray:
         """Assemble at ``x`` and return the Newton update ``-J^-1 r``."""
         jacobian, residual = self.assemble(x, ctx)
-        return np.linalg.solve(jacobian, -residual)
+        return _solve_dense(jacobian, -residual)
 
     # ------------------------------------------------------------------
     def assemble_ac(
         self, x_op: np.ndarray, gmin: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stamp the small-signal system; returns dense ``(G, C, B)``."""
-        conductance = np.zeros((self.n, self.n))
-        susceptance = np.zeros((self.n, self.n))
-        rhs = np.zeros(self.n, dtype=complex)
-        ctx = StampContext(mode="ac", gmin=gmin)
-        g_acc = DenseStampAccumulator(conductance)
-        c_acc = DenseStampAccumulator(susceptance)
-        for element in self.circuit.elements:
-            element.ac_stamp_values(g_acc, c_acc, rhs, x_op, ctx)
-        return conductance, susceptance, rhs
+        cond, susc, rhs = self._stamp_ac(x_op, gmin)
+        return self._matrix(cond), self._matrix(susc), rhs
 
     def solve_ac_sweep(
         self, omega: np.ndarray, x_op: np.ndarray, gmin: float
@@ -188,30 +199,38 @@ class DenseBackend:
         return x
 
 
-class SparseBackend:
+class SparseBackend(_CompiledBackend):
     """CSC assembly + SuperLU solves with a frozen symbolic structure.
 
-    The stamp pattern (and with it the CSC ``indices``/``indptr`` arrays
-    and the coordinate->slot map) is computed once in the constructor;
-    every assembly afterwards is a flat value scatter. The most recent
-    Newton factorization is kept and reused verbatim when the assembled
-    values are unchanged, so linear circuits pay for one factorization
-    per (dt, method) rather than one per timepoint.
+    Every matrix entry an element requests at compile time gets a
+    workspace slot; those entries, sorted by column, are the CSC
+    structure, and assembly permutes the workspace into CSC order. The
+    most recent Newton factorization is kept and reused verbatim when
+    the assembled values are unchanged, so linear circuits pay for one
+    factorization per (dt, method) rather than one per timepoint.
     """
 
     name = "sparse"
 
     def __init__(self, circuit):
-        circuit._elaborate_if_needed()
-        self.circuit = circuit
-        self.n = circuit.size
-        pattern = StampPattern(self.n)
-        for element in circuit.elements:
-            element.stamp_pattern(pattern)
-        self._indices, self._indptr, self._slot_of = pattern.csc_structure()
-        self.nnz = pattern.nnz
+        self._slot_of: dict[tuple[int, int], int] = {}
+        super().__init__(circuit)
+        self._size = self.nnz = len(self._slot_of)
+        coords = sorted(self._slot_of, key=lambda rc: (rc[1], rc[0]))
+        self._order = np.array([self._slot_of[rc] for rc in coords], dtype=np.intp)
+        self._indices = np.array([row for row, _ in coords], dtype=np.int32)
+        counts = np.zeros(self.n, dtype=np.int32)
+        for _, col in coords:
+            counts[col] += 1
+        self._indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(counts, out=self._indptr[1:])
         self._lu = None
         self._lu_data: np.ndarray | None = None
+
+    def _slot(self, row: int, col: int) -> int:
+        if row < 0 or col < 0:
+            return -1
+        return self._slot_of.setdefault((row, col), self.n + len(self._slot_of))
 
     # ------------------------------------------------------------------
     def _matrix(self, data: np.ndarray) -> "_sparse.csc_matrix":
@@ -232,12 +251,8 @@ class SparseBackend:
         self, x: np.ndarray, ctx: StampContext
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stamp the Newton system; returns ``(csc_data, residual)``."""
-        data = np.zeros(self.nnz)
-        residual = np.zeros(self.n)
-        acc = _SparseStampAccumulator(data, self._slot_of)
-        for element in self.circuit.elements:
-            element.stamp_values(acc, residual, x, ctx)
-        return data, residual
+        work = self._stamp_newton(x, ctx)
+        return work[self._order], work[: self.n]
 
     def solve_newton(self, x: np.ndarray, ctx: StampContext) -> np.ndarray:
         """Assemble at ``x`` and return the Newton update ``-J^-1 r``."""
@@ -257,15 +272,8 @@ class SparseBackend:
         structure, so the frequency-dependent system is the cheap axpy
         ``g_data + j w c_data`` — no restamping across the sweep.
         """
-        g_data = np.zeros(self.nnz)
-        c_data = np.zeros(self.nnz)
-        rhs = np.zeros(self.n, dtype=complex)
-        ctx = StampContext(mode="ac", gmin=gmin)
-        g_acc = _SparseStampAccumulator(g_data, self._slot_of)
-        c_acc = _SparseStampAccumulator(c_data, self._slot_of)
-        for element in self.circuit.elements:
-            element.ac_stamp_values(g_acc, c_acc, rhs, x_op, ctx)
-        return g_data, c_data, rhs
+        cond, susc, rhs = self._stamp_ac(x_op, gmin)
+        return cond[self._order], susc[self._order], rhs
 
     def solve_ac_sweep(
         self, omega: np.ndarray, x_op: np.ndarray, gmin: float
@@ -289,7 +297,7 @@ def resolve_backend(circuit, backend="auto"):
     ``backend`` may be ``"dense"``, ``"sparse"``, ``"auto"`` (sparse at
     :data:`SPARSE_AUTO_THRESHOLD` unknowns and beyond), or an already
     constructed backend instance for ``circuit`` — passing an instance
-    amortizes the symbolic analysis across repeated solves of the same
+    amortizes the compile step across repeated solves of the same
     netlist.
     """
     if not isinstance(backend, str):

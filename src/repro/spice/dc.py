@@ -61,11 +61,11 @@ def _newton(
                 f"{circuit.name}: singular MNA Jacobian "
                 f"(iteration {iteration}) — check for floating nodes"
             ) from exc
-        step = float(np.max(np.abs(delta))) if delta.size else 0.0
+        step = float(np.abs(delta).max()) if delta.size else 0.0
         if step > max_step:  # damp huge nonlinear updates
             delta *= max_step / step
         x = x + delta
-        if step < abstol + reltol * float(np.max(np.abs(x))):
+        if step < abstol + reltol * float(np.abs(x).max()):
             return x, iteration
     raise ConvergenceError(
         f"{circuit.name}: Newton did not converge in {max_iterations} "
@@ -86,8 +86,9 @@ def solve_dc(
     """Find the DC operating point.
 
     Tries plain damped Newton first; on failure, performs gmin stepping
-    from 1e-2 S down to the target ``gmin``, warm-starting each level
-    with the previous solution.
+    from 1e-2 S decade by decade down to the target ``gmin`` (a target
+    below 1e-12 S is one last step from 1e-12 S), warm-starting each
+    level with the previous solution.
 
     ``backend`` selects the linear-solver backend (``"dense"``,
     ``"sparse"``, ``"auto"`` or an instance built by
@@ -114,6 +115,8 @@ def solve_dc(
     # gmin stepping continuation
     total_iterations = 0
     gmin_ladder = [10.0 ** (-k) for k in range(2, 13)]
+    if gmin < gmin_ladder[-1]:
+        gmin_ladder.append(gmin)
     for level in gmin_ladder:
         ctx = StampContext(mode="dc", gmin=max(level, gmin))
         x, iterations = _newton(

@@ -1,22 +1,27 @@
-"""Circuit elements and their MNA stamps.
+"""Circuit elements and their compiled MNA stamps.
 
 Every element contributes to the Newton system ``J dx = -r`` at the
-candidate solution ``x`` through a *pattern/values* split:
+candidate solution ``x``. A solver backend compiles each element once,
+when the backend is built:
 
-* :meth:`Element.stamp_pattern` declares, once per circuit, every
-  ``(row, col)`` matrix coordinate the element may ever touch — across
-  DC, transient *and* AC analyses. Solver backends use it to build a
-  fixed sparsity structure (symbolic analysis) that is reused for every
-  subsequent numeric assembly.
-* :meth:`Element.stamp_values` adds the numeric Jacobian/residual
-  contribution at ``x`` into an accumulator implementing
-  ``add(row, col, value)`` (negative indices denote ground and are
-  ignored). :meth:`Element.ac_stamp_values` does the same for the
-  small-signal ``G``/``C`` matrices and excitation phasor.
+* :meth:`Element.compile` asks ``slot(row, col)`` for the flat workspace
+  position of every matrix entry the element can touch in DC or
+  transient analysis and returns a stamp function that closes over
+  those integer slots and the element's parameters. The slots an
+  element requests *are* its sparsity pattern.
+* :meth:`Element.compile_ac` does the same for the small-signal
+  ``G``/``C`` matrices and the excitation phasor.
+* :meth:`Element.compile_accept` returns the companion-state update a
+  reactive element runs once a transient step is accepted.
 
-The legacy dense entry points ``stamp(jacobian, residual, x, ctx)`` and
-``ac_stamp(G, C, rhs, x_op, ctx)`` are thin shims that route the same
-value stamps into dense matrices and remain bit-compatible.
+A Newton stamp is called as ``stamp(x, jac, res, ctx)``. ``x`` holds the
+unknowns as Python floats followed by a ground ``0.0``, so node index
+``-1`` (ground) reads zero. ``jac`` and ``res`` are flat Python-float
+workspaces indexed by matrix slot and by row; the backends pass one
+list for both, residual rows first. Their last entry is a dump slot:
+ground rows and columns write there, and the backend discards it.
+``ctx`` is the :class:`StampContext` of the solve point. AC stamps are
+called as ``stamp(x_op, cond, susc, rhs, gmin)`` over the same layout.
 
 The residual convention is Kirchhoff's current law per non-ground node —
 ``r[k]`` accumulates the current *leaving* node ``k`` — plus one
@@ -36,7 +41,6 @@ import numpy as np
 
 __all__ = [
     "StampContext",
-    "DenseStampAccumulator",
     "Element",
     "Resistor",
     "Capacitor",
@@ -55,9 +59,23 @@ __all__ = [
 _EXP_LIMIT = 40.0
 
 
-@dataclass
+def _floats(x) -> list:
+    """``x`` as Python floats plus a trailing ground ``0.0`` (index -1)."""
+    values = x.tolist()
+    values.append(0.0)
+    return values
+
+
+@dataclass(frozen=True, eq=False)
 class StampContext:
-    """Per-solve information shared with every stamp call.
+    """One solve point: everything a stamp reads besides the unknowns.
+
+    A context is immutable, so what is derived from it is computed once
+    and shared by every Newton iteration at that point: ``prev`` (the
+    previous timepoint as Python floats, ground last) and, through
+    :meth:`waveform_value`, the values of time-dependent sources.
+    Transient analysis builds one context per timepoint; ``states`` is
+    the one member carried, and mutated, from step to step.
 
     Attributes
     ----------
@@ -84,6 +102,21 @@ class StampContext:
     x_prev: np.ndarray | None = None
     states: dict = field(default_factory=dict)
     gmin: float = 1e-12
+    prev: list | None = field(init=False, repr=False)
+    _waveforms: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        prev = None if self.x_prev is None else _floats(self.x_prev)
+        object.__setattr__(self, "prev", prev)
+        object.__setattr__(self, "_waveforms", {})
+
+    def waveform_value(self, waveform) -> float:
+        """``waveform`` at this point (``t = 0`` outside transient)."""
+        value = self._waveforms.get(waveform)
+        if value is None:
+            t = self.time if self.mode == "tran" else 0.0
+            value = self._waveforms[waveform] = float(waveform(t))
+        return value
 
 
 def _limited_exp(arg: np.ndarray | float):
@@ -99,24 +132,14 @@ def _limited_exp(arg: np.ndarray | float):
     return peak * (1.0 + (arg - _EXP_LIMIT)), peak
 
 
-class DenseStampAccumulator:
-    """Routes ``add(row, col, value)`` stamps into a dense matrix.
+def _pairwise(slot, i1: int, i2: int) -> tuple[int, int, int, int]:
+    """Slots of the two-terminal block ``(i1,i1), (i1,i2), (i2,i1), (i2,i2)``."""
+    return slot(i1, i1), slot(i1, i2), slot(i2, i1), slot(i2, i2)
 
-    The dense solver backend (and the legacy :meth:`Element.stamp` /
-    :meth:`Element.ac_stamp` shims) use this adapter so every element can
-    express its numeric stamps once, against the accumulator protocol,
-    regardless of the matrix storage the active backend uses.
-    """
 
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def add(self, row: int, col: int, value: float) -> None:
-        """Accumulate ``value`` at ``(row, col)``; ground (< 0) is a no-op."""
-        if row >= 0 and col >= 0:
-            self.matrix[row, col] += value
+def _branch(slot, i1: int, i2: int, bi: int) -> tuple[int, int, int, int]:
+    """Slots of a branch incidence ``(i1,bi), (i2,bi), (bi,i1), (bi,i2)``."""
+    return slot(i1, bi), slot(i2, bi), slot(bi, i1), slot(bi, i2)
 
 
 class Element:
@@ -134,107 +157,46 @@ class Element:
         self.branch_index: int | None = None
 
     # ------------------------------------------------------------------
-    def stamp_pattern(self, pattern) -> None:
-        """Declare every matrix coordinate this element may ever touch.
+    def compile(self, slot):
+        """Return the Newton stamp ``stamp(x, jac, res, ctx)``.
 
-        ``pattern`` implements ``add(row, col)`` (and the convenience
-        ``add_pairwise(i, j)`` for the standard conductance block) and
-        ignores negative (ground) indices. The declaration must be the
-        *union* over all analyses and internal states — e.g. a MOSFET
-        declares both the normal and the drain/source-swapped footprint —
-        so a backend can freeze the structure once per circuit.
+        ``slot(row, col)`` gives the workspace position of one matrix
+        entry (the dump slot for ground). The stamp adds the element's
+        Jacobian and residual contribution at ``x``. Parameters are read
+        here, once: a backend keeps the values its circuit had when it
+        was built.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} implements only the legacy dense "
-            "stamp API; implement stamp_pattern/stamp_values to enable "
-            "the sparse backend, or solve with backend='dense'"
+            f"{type(self).__name__} does not implement compile"
         )
 
-    def stamp_values(
-        self,
-        acc,
-        residual: np.ndarray,
-        x: np.ndarray,
-        ctx: StampContext,
-    ) -> None:
-        """Add the Newton Jacobian/residual contribution at ``x``.
+    def compile_ac(self, slot):
+        """Return the small-signal stamp ``stamp(x_op, cond, susc, rhs, gmin)``.
 
-        ``acc`` implements ``add(row, col, value)`` over coordinates
-        declared by :meth:`stamp_pattern`; ``residual`` is always a dense
-        vector. For subclasses that predate the pattern/values split and
-        only override :meth:`stamp`, the base implementation routes a
-        dense accumulator through that legacy method, so such elements
-        keep working on the dense backend unchanged.
+        The AC MNA system is ``(G + j omega C) X = B``: the stamp adds
+        the element's frequency-independent conductances to ``cond``
+        (``G``), the omega-proportional part to ``susc`` (``C``) and its
+        excitation phasor to the complex ``rhs`` (``B``). Nonlinear
+        devices stamp their linearization at the DC operating point
+        ``x_op``. By default the returned stamp raises, so an element
+        without a small-signal model still serves DC and transient.
         """
-        if (
-            type(self).stamp is not Element.stamp
-            and isinstance(acc, DenseStampAccumulator)
-        ):
-            self.stamp(acc.matrix, residual, x, ctx)
-            return
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement stamp_values"
-        )
+        name = type(self).__name__
 
-    def ac_stamp_values(
-        self,
-        g_acc,
-        c_acc,
-        rhs: np.ndarray,
-        x_op: np.ndarray,
-        ctx: StampContext,
-    ) -> None:
-        """Stamp the small-signal system linearized at ``x_op``.
+        def unsupported(x_op, cond, susc, rhs, gmin):
+            raise NotImplementedError(
+                f"{name} does not support AC small-signal analysis"
+            )
 
-        The AC MNA system is ``(G + j omega C) X = B``: elements add their
-        frequency-independent conductances to ``g_acc`` (``G``), the
-        omega-proportional part to ``c_acc`` (``C``) and their AC
-        excitation phasor to the complex ``rhs`` (``B``). Nonlinear devices
-        stamp the conductances of their linearization at the DC operating
-        point ``x_op``. Legacy subclasses overriding only
-        :meth:`ac_stamp` are routed through it on the dense backend.
+        return unsupported
+
+    def compile_accept(self):
+        """Return the companion-state update ``accept(x, ctx)``, or ``None``.
+
+        Transient analysis calls it with the solution ``x`` of each
+        accepted step; only elements with companion state need one.
         """
-        if (
-            type(self).ac_stamp is not Element.ac_stamp
-            and isinstance(g_acc, DenseStampAccumulator)
-            and isinstance(c_acc, DenseStampAccumulator)
-        ):
-            self.ac_stamp(g_acc.matrix, c_acc.matrix, rhs, x_op, ctx)
-            return
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support AC small-signal analysis"
-        )
-
-    # ------------------------------------------------------------------
-    def stamp(
-        self,
-        jacobian: np.ndarray,
-        residual: np.ndarray,
-        x: np.ndarray,
-        ctx: StampContext,
-    ) -> None:
-        """Dense-matrix shim over :meth:`stamp_values`."""
-        self.stamp_values(DenseStampAccumulator(jacobian), residual, x, ctx)
-
-    def ac_stamp(
-        self,
-        conductance: np.ndarray,
-        susceptance: np.ndarray,
-        rhs: np.ndarray,
-        x_op: np.ndarray,
-        ctx: StampContext,
-    ) -> None:
-        """Dense-matrix shim over :meth:`ac_stamp_values`."""
-        self.ac_stamp_values(
-            DenseStampAccumulator(conductance),
-            DenseStampAccumulator(susceptance),
-            rhs,
-            x_op,
-            ctx,
-        )
-
-    def update_state(self, x: np.ndarray, ctx: StampContext) -> None:
-        """Hook called after a transient step is accepted."""
+        return None
 
     def validate(self, system_size: int) -> None:
         """Sanity check after elaboration."""
@@ -244,16 +206,6 @@ class Element:
     def card(self) -> str:
         """One-line SPICE-style netlist card."""
         return f"* {self.name} {' '.join(self.nodes)}"
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _v(x: np.ndarray, idx: int) -> float:
-        return 0.0 if idx < 0 else float(x[idx])
-
-    @staticmethod
-    def _add(vec: np.ndarray, idx: int, value: float) -> None:
-        if idx >= 0:
-            vec[idx] += value
 
 
 # ----------------------------------------------------------------------
@@ -335,28 +287,33 @@ class Resistor(Element):
         super().__init__(name, (n1, n2))
         self.resistance = float(resistance)
 
-    def stamp_pattern(self, pattern):
+    def compile(self, slot):
         i1, i2 = self.node_indices
-        pattern.add_pairwise(i1, i2)
-
-    def stamp_values(self, acc, residual, x, ctx):
-        i1, i2 = self.node_indices
+        s11, s12, s21, s22 = _pairwise(slot, i1, i2)
         g = 1.0 / self.resistance
-        current = g * (self._v(x, i1) - self._v(x, i2))
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, i1, g)
-        acc.add(i1, i2, -g)
-        acc.add(i2, i1, -g)
-        acc.add(i2, i2, g)
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-        i1, i2 = self.node_indices
+        def stamp(x, jac, res, ctx):
+            current = g * (x[i1] - x[i2])
+            res[i1] += current
+            res[i2] -= current
+            jac[s11] += g
+            jac[s12] -= g
+            jac[s21] -= g
+            jac[s22] += g
+
+        return stamp
+
+    def compile_ac(self, slot):
+        s11, s12, s21, s22 = _pairwise(slot, *self.node_indices)
         g = 1.0 / self.resistance
-        g_acc.add(i1, i1, g)
-        g_acc.add(i1, i2, -g)
-        g_acc.add(i2, i1, -g)
-        g_acc.add(i2, i2, g)
+
+        def stamp(x_op, cond, susc, rhs, gmin):
+            cond[s11] += g
+            cond[s12] -= g
+            cond[s21] -= g
+            cond[s22] += g
+
+        return stamp
 
     def card(self):
         return f"{self.name} {self.nodes[0]} {self.nodes[1]} {self.resistance:g}"
@@ -371,54 +328,60 @@ class Capacitor(Element):
         super().__init__(name, (n1, n2))
         self.capacitance = float(capacitance)
 
-    def _voltage(self, x, i1, i2) -> float:
-        return self._v(x, i1) - self._v(x, i2)
-
-    def stamp_pattern(self, pattern):
+    def _companion(self):
+        """``companion(x, ctx) -> (geq, current)`` of the integration rule."""
         i1, i2 = self.node_indices
-        pattern.add_pairwise(i1, i2)
+        capacitance, name = self.capacitance, self.name
 
-    def stamp_values(self, acc, residual, x, ctx):
-        if ctx.mode == "dc":
-            return
+        def companion(x, ctx):
+            prev = ctx.prev
+            dv = (x[i1] - x[i2]) - (prev[i1] - prev[i2])
+            if ctx.method == "trap":
+                geq = 2.0 * capacitance / ctx.dt
+                return geq, geq * dv - ctx.states.get(name, 0.0)
+            geq = capacitance / ctx.dt  # backward Euler
+            return geq, geq * dv
+
+        return companion
+
+    def compile(self, slot):
         i1, i2 = self.node_indices
-        v_now = self._voltage(x, i1, i2)
-        v_prev = self._voltage(ctx.x_prev, i1, i2)
-        if ctx.method == "trap":
-            geq = 2.0 * self.capacitance / ctx.dt
-            i_prev = ctx.states.get(self.name, 0.0)
-            current = geq * (v_now - v_prev) - i_prev
-        else:  # backward Euler
-            geq = self.capacitance / ctx.dt
-            current = geq * (v_now - v_prev)
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, i1, geq)
-        acc.add(i1, i2, -geq)
-        acc.add(i2, i1, -geq)
-        acc.add(i2, i2, geq)
+        s11, s12, s21, s22 = _pairwise(slot, i1, i2)
+        companion = self._companion()
 
-    def update_state(self, x, ctx):
-        i1, i2 = self.node_indices
-        v_now = self._voltage(x, i1, i2)
-        v_prev = self._voltage(ctx.x_prev, i1, i2)
-        if ctx.method == "trap":
-            geq = 2.0 * self.capacitance / ctx.dt
-            i_prev = ctx.states.get(self.name, 0.0)
-            ctx.states[self.name] = geq * (v_now - v_prev) - i_prev
-        else:
-            ctx.states[self.name] = (
-                self.capacitance / ctx.dt * (v_now - v_prev)
-            )
+        def stamp(x, jac, res, ctx):
+            if ctx.mode == "dc":
+                return
+            geq, current = companion(x, ctx)
+            res[i1] += current
+            res[i2] -= current
+            jac[s11] += geq
+            jac[s12] -= geq
+            jac[s21] -= geq
+            jac[s22] += geq
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
+        return stamp
+
+    def compile_accept(self):
+        companion, name = self._companion(), self.name
+
+        def accept(x, ctx):
+            ctx.states[name] = companion(x, ctx)[1]
+
+        return accept
+
+    def compile_ac(self, slot):
         # Admittance j omega C: pure susceptance.
-        i1, i2 = self.node_indices
+        s11, s12, s21, s22 = _pairwise(slot, *self.node_indices)
         c = self.capacitance
-        c_acc.add(i1, i1, c)
-        c_acc.add(i1, i2, -c)
-        c_acc.add(i2, i1, -c)
-        c_acc.add(i2, i2, c)
+
+        def stamp(x_op, cond, susc, rhs, gmin):
+            susc[s11] += c
+            susc[s12] -= c
+            susc[s21] -= c
+            susc[s22] += c
+
+        return stamp
 
     def card(self):
         return f"{self.name} {self.nodes[0]} {self.nodes[1]} {self.capacitance:g}"
@@ -435,51 +398,57 @@ class Inductor(Element):
         super().__init__(name, (n1, n2))
         self.inductance = float(inductance)
 
-    def stamp_pattern(self, pattern):
+    def compile(self, slot):
         i1, i2 = self.node_indices
         bi = self.branch_index
-        pattern.add(i1, bi)
-        pattern.add(i2, bi)
-        pattern.add(bi, i1)
-        pattern.add(bi, i2)
-        pattern.add(bi, bi)
+        s1b, s2b, sb1, sb2 = _branch(slot, i1, i2, bi)
+        sbb = slot(bi, bi)
+        inductance = self.inductance
 
-    def stamp_values(self, acc, residual, x, ctx):
-        i1, i2 = self.node_indices
-        bi = self.branch_index
-        current = float(x[bi])
-        # KCL: branch current leaves n1, enters n2.
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, bi, 1.0)
-        acc.add(i2, bi, -1.0)
-        v_now = self._v(x, i1) - self._v(x, i2)
-        if ctx.mode == "dc":
-            residual[bi] += v_now  # v = 0 (DC short)
-            acc.add(bi, i1, 1.0)
-            acc.add(bi, i2, -1.0)
-            return
-        i_prev = float(ctx.x_prev[bi])
-        if ctx.method == "trap":
-            v_prev = self._v(ctx.x_prev, i1) - self._v(ctx.x_prev, i2)
-            req = 2.0 * self.inductance / ctx.dt
-            residual[bi] += v_now + v_prev - req * (current - i_prev)
-        else:
-            req = self.inductance / ctx.dt
-            residual[bi] += v_now - req * (current - i_prev)
-        acc.add(bi, i1, 1.0)
-        acc.add(bi, i2, -1.0)
-        acc.add(bi, bi, -req)
+        def stamp(x, jac, res, ctx):
+            current = x[bi]
+            # KCL: branch current leaves n1, enters n2.
+            res[i1] += current
+            res[i2] -= current
+            jac[s1b] += 1.0
+            jac[s2b] -= 1.0
+            v_now = x[i1] - x[i2]
+            if ctx.mode == "dc":
+                res[bi] += v_now  # v = 0 (DC short)
+                jac[sb1] += 1.0
+                jac[sb2] -= 1.0
+                return
+            prev = ctx.prev
+            i_prev = prev[bi]
+            if ctx.method == "trap":
+                v_prev = prev[i1] - prev[i2]
+                req = 2.0 * inductance / ctx.dt
+                res[bi] += v_now + v_prev - req * (current - i_prev)
+            else:
+                req = inductance / ctx.dt
+                res[bi] += v_now - req * (current - i_prev)
+            jac[sb1] += 1.0
+            jac[sb2] -= 1.0
+            jac[sbb] -= req
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
+        return stamp
+
+    def compile_ac(self, slot):
         # Branch equation v1 - v2 - j omega L i = 0.
         i1, i2 = self.node_indices
         bi = self.branch_index
-        g_acc.add(i1, bi, 1.0)
-        g_acc.add(i2, bi, -1.0)
-        g_acc.add(bi, i1, 1.0)
-        g_acc.add(bi, i2, -1.0)
-        c_acc.add(bi, bi, -self.inductance)
+        s1b, s2b, sb1, sb2 = _branch(slot, i1, i2, bi)
+        sbb = slot(bi, bi)
+        inductance = self.inductance
+
+        def stamp(x_op, cond, susc, rhs, gmin):
+            cond[s1b] += 1.0
+            cond[s2b] -= 1.0
+            cond[sb1] += 1.0
+            cond[sb2] -= 1.0
+            susc[sbb] -= inductance
+
+        return stamp
 
     def card(self):
         return f"{self.name} {self.nodes[0]} {self.nodes[1]} {self.inductance:g}"
@@ -488,15 +457,13 @@ class Inductor(Element):
 # ----------------------------------------------------------------------
 # sources
 # ----------------------------------------------------------------------
-class VoltageSource(Element):
-    """Independent voltage source with optional time waveform.
+class _Source(Element):
+    """Independent source: DC value, optional time waveform, AC phasor.
 
     ``ac`` / ``ac_phase`` set the small-signal excitation phasor used by
-    :func:`repro.spice.solve_ac` (magnitude in volts, phase in degrees);
-    they do not affect DC or transient analysis.
+    :func:`repro.spice.solve_ac` (magnitude in volts or amperes, phase
+    in degrees); they do not affect DC or transient analysis.
     """
-
-    needs_branch_current = True
 
     def __init__(self, name: str, n_pos: str, n_neg: str, dc: float = 0.0,
                  waveform=None, ac: float = 0.0, ac_phase: float = 0.0):
@@ -512,90 +479,79 @@ class VoltageSource(Element):
         return self.ac * np.exp(1j * np.deg2rad(self.ac_phase))
 
     def value(self, ctx: StampContext) -> float:
-        if ctx.mode == "tran" and self.waveform is not None:
-            return float(self.waveform(ctx.time))
-        if self.waveform is not None and ctx.mode == "dc":
-            return float(self.waveform(0.0))
-        return self.dc
-
-    def stamp_pattern(self, pattern):
-        i1, i2 = self.node_indices
-        bi = self.branch_index
-        pattern.add(i1, bi)
-        pattern.add(i2, bi)
-        pattern.add(bi, i1)
-        pattern.add(bi, i2)
-
-    def stamp_values(self, acc, residual, x, ctx):
-        i1, i2 = self.node_indices
-        bi = self.branch_index
-        current = float(x[bi])
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, bi, 1.0)
-        acc.add(i2, bi, -1.0)
-        residual[bi] += self._v(x, i1) - self._v(x, i2) - self.value(ctx)
-        acc.add(bi, i1, 1.0)
-        acc.add(bi, i2, -1.0)
-
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-        i1, i2 = self.node_indices
-        bi = self.branch_index
-        g_acc.add(i1, bi, 1.0)
-        g_acc.add(i2, bi, -1.0)
-        g_acc.add(bi, i1, 1.0)
-        g_acc.add(bi, i2, -1.0)
-        rhs[bi] += self.ac_value
+        """Source value at the solve point ``ctx``."""
+        if self.waveform is None:
+            return self.dc
+        return ctx.waveform_value(self.waveform)
 
     def card(self):
         return f"{self.name} {self.nodes[0]} {self.nodes[1]} DC {self.dc:g}"
 
 
-class CurrentSource(Element):
-    """Independent current source (positive current flows n+ -> n-).
+class VoltageSource(_Source):
+    """Independent voltage source with optional time waveform."""
 
-    ``ac`` / ``ac_phase`` set the small-signal excitation phasor used by
-    :func:`repro.spice.solve_ac` (magnitude in amperes, phase in degrees).
-    """
+    needs_branch_current = True
 
-    def __init__(self, name: str, n_pos: str, n_neg: str, dc: float = 0.0,
-                 waveform=None, ac: float = 0.0, ac_phase: float = 0.0):
-        super().__init__(name, (n_pos, n_neg))
-        self.dc = float(dc)
-        self.waveform = waveform
-        self.ac = float(ac)
-        self.ac_phase = float(ac_phase)
-
-    @property
-    def ac_value(self) -> complex:
-        """Small-signal excitation phasor."""
-        return self.ac * np.exp(1j * np.deg2rad(self.ac_phase))
-
-    def value(self, ctx: StampContext) -> float:
-        if self.waveform is not None:
-            t = ctx.time if ctx.mode == "tran" else 0.0
-            return float(self.waveform(t))
-        return self.dc
-
-    def stamp_pattern(self, pattern):
-        pass  # pure source: residual/rhs only, no matrix entries
-
-    def stamp_values(self, acc, residual, x, ctx):
+    def compile(self, slot):
         i1, i2 = self.node_indices
-        current = self.value(ctx)
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
+        bi = self.branch_index
+        s1b, s2b, sb1, sb2 = _branch(slot, i1, i2, bi)
+        dc, waveform = self.dc, self.waveform
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
+        def stamp(x, jac, res, ctx):
+            current = x[bi]
+            res[i1] += current
+            res[i2] -= current
+            jac[s1b] += 1.0
+            jac[s2b] -= 1.0
+            value = dc if waveform is None else ctx.waveform_value(waveform)
+            res[bi] += x[i1] - x[i2] - value
+            jac[sb1] += 1.0
+            jac[sb2] -= 1.0
+
+        return stamp
+
+    def compile_ac(self, slot):
+        bi = self.branch_index
+        s1b, s2b, sb1, sb2 = _branch(slot, *self.node_indices, bi)
+        value = self.ac_value
+
+        def stamp(x_op, cond, susc, rhs, gmin):
+            cond[s1b] += 1.0
+            cond[s2b] -= 1.0
+            cond[sb1] += 1.0
+            cond[sb2] -= 1.0
+            rhs[bi] += value
+
+        return stamp
+
+
+class CurrentSource(_Source):
+    """Independent current source (positive current flows n+ -> n-)."""
+
+    def compile(self, slot):
+        i1, i2 = self.node_indices
+        dc, waveform = self.dc, self.waveform
+
+        def stamp(x, jac, res, ctx):
+            current = dc if waveform is None else ctx.waveform_value(waveform)
+            res[i1] += current
+            res[i2] -= current
+
+        return stamp
+
+    def compile_ac(self, slot):
         # KCL convention: residual accumulates current leaving the node,
         # so the source phasor enters the rhs with the opposite sign.
         i1, i2 = self.node_indices
         value = self.ac_value
-        self._add(rhs, i1, -value)
-        self._add(rhs, i2, value)
 
-    def card(self):
-        return f"{self.name} {self.nodes[0]} {self.nodes[1]} DC {self.dc:g}"
+        def stamp(x_op, cond, susc, rhs, gmin):
+            rhs[i1] -= value
+            rhs[i2] += value
+
+        return stamp
 
 
 class VCVS(Element):
@@ -608,42 +564,44 @@ class VCVS(Element):
         super().__init__(name, (n_pos, n_neg, ctrl_pos, ctrl_neg))
         self.gain = float(gain)
 
-    def stamp_pattern(self, pattern):
+    def _slots(self, slot):
         i1, i2, c1, c2 = self.node_indices
         bi = self.branch_index
-        pattern.add(i1, bi)
-        pattern.add(i2, bi)
-        pattern.add(bi, i1)
-        pattern.add(bi, i2)
-        pattern.add(bi, c1)
-        pattern.add(bi, c2)
+        return (*_branch(slot, i1, i2, bi), slot(bi, c1), slot(bi, c2))
 
-    def stamp_values(self, acc, residual, x, ctx):
+    def compile(self, slot):
         i1, i2, c1, c2 = self.node_indices
         bi = self.branch_index
-        current = float(x[bi])
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, bi, 1.0)
-        acc.add(i2, bi, -1.0)
-        residual[bi] += (
-            self._v(x, i1) - self._v(x, i2)
-            - self.gain * (self._v(x, c1) - self._v(x, c2))
-        )
-        acc.add(bi, i1, 1.0)
-        acc.add(bi, i2, -1.0)
-        acc.add(bi, c1, -self.gain)
-        acc.add(bi, c2, self.gain)
+        s1b, s2b, sb1, sb2, sbc1, sbc2 = self._slots(slot)
+        gain = self.gain
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-        i1, i2, c1, c2 = self.node_indices
-        bi = self.branch_index
-        g_acc.add(i1, bi, 1.0)
-        g_acc.add(i2, bi, -1.0)
-        g_acc.add(bi, i1, 1.0)
-        g_acc.add(bi, i2, -1.0)
-        g_acc.add(bi, c1, -self.gain)
-        g_acc.add(bi, c2, self.gain)
+        def stamp(x, jac, res, ctx):
+            current = x[bi]
+            res[i1] += current
+            res[i2] -= current
+            jac[s1b] += 1.0
+            jac[s2b] -= 1.0
+            res[bi] += x[i1] - x[i2] - gain * (x[c1] - x[c2])
+            jac[sb1] += 1.0
+            jac[sb2] -= 1.0
+            jac[sbc1] -= gain
+            jac[sbc2] += gain
+
+        return stamp
+
+    def compile_ac(self, slot):
+        s1b, s2b, sb1, sb2, sbc1, sbc2 = self._slots(slot)
+        gain = self.gain
+
+        def stamp(x_op, cond, susc, rhs, gmin):
+            cond[s1b] += 1.0
+            cond[s2b] -= 1.0
+            cond[sb1] += 1.0
+            cond[sb2] -= 1.0
+            cond[sbc1] -= gain
+            cond[sbc2] += gain
+
+        return stamp
 
     def card(self):
         return f"{self.name} {' '.join(self.nodes)} {self.gain:g}"
@@ -657,31 +615,37 @@ class VCCS(Element):
         super().__init__(name, (n_pos, n_neg, ctrl_pos, ctrl_neg))
         self.transconductance = float(transconductance)
 
-    def stamp_pattern(self, pattern):
+    def _slots(self, slot):
         i1, i2, c1, c2 = self.node_indices
-        pattern.add(i1, c1)
-        pattern.add(i1, c2)
-        pattern.add(i2, c1)
-        pattern.add(i2, c2)
+        return slot(i1, c1), slot(i1, c2), slot(i2, c1), slot(i2, c2)
 
-    def stamp_values(self, acc, residual, x, ctx):
+    def compile(self, slot):
         i1, i2, c1, c2 = self.node_indices
+        s11, s12, s21, s22 = self._slots(slot)
         gm = self.transconductance
-        current = gm * (self._v(x, c1) - self._v(x, c2))
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, c1, gm)
-        acc.add(i1, c2, -gm)
-        acc.add(i2, c1, -gm)
-        acc.add(i2, c2, gm)
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-        i1, i2, c1, c2 = self.node_indices
+        def stamp(x, jac, res, ctx):
+            current = gm * (x[c1] - x[c2])
+            res[i1] += current
+            res[i2] -= current
+            jac[s11] += gm
+            jac[s12] -= gm
+            jac[s21] -= gm
+            jac[s22] += gm
+
+        return stamp
+
+    def compile_ac(self, slot):
+        s11, s12, s21, s22 = self._slots(slot)
         gm = self.transconductance
-        g_acc.add(i1, c1, gm)
-        g_acc.add(i1, c2, -gm)
-        g_acc.add(i2, c1, -gm)
-        g_acc.add(i2, c2, gm)
+
+        def stamp(x_op, cond, susc, rhs, gmin):
+            cond[s11] += gm
+            cond[s12] -= gm
+            cond[s21] -= gm
+            cond[s22] += gm
+
+        return stamp
 
     def card(self):
         return f"{self.name} {' '.join(self.nodes)} {self.transconductance:g}"
@@ -690,6 +654,12 @@ class VCCS(Element):
 # ----------------------------------------------------------------------
 # nonlinear devices
 # ----------------------------------------------------------------------
+def _shockley(v: float, isat: float, nvt: float) -> tuple[float, float]:
+    """Diode current and conductance at junction voltage ``v``."""
+    value, derivative = _limited_exp(v / nvt)
+    return isat * (value - 1.0), isat * derivative / nvt
+
+
 class Diode(Element):
     """Shockley diode with exponent limiting and gmin."""
 
@@ -704,39 +674,44 @@ class Diode(Element):
         self.thermal_voltage = float(thermal_voltage)
 
     def current_and_conductance(self, v: float) -> tuple[float, float]:
-        nvt = self.emission * self.thermal_voltage
-        value, derivative = _limited_exp(v / nvt)
-        current = self.saturation_current * (value - 1.0)
-        conductance = self.saturation_current * derivative / nvt
-        return current, conductance
+        return _shockley(
+            v, self.saturation_current, self.emission * self.thermal_voltage
+        )
 
-    def stamp_pattern(self, pattern):
+    def compile(self, slot):
         i1, i2 = self.node_indices
-        pattern.add_pairwise(i1, i2)
+        s11, s12, s21, s22 = _pairwise(slot, i1, i2)
+        isat, nvt = self.saturation_current, self.emission * self.thermal_voltage
 
-    def stamp_values(self, acc, residual, x, ctx):
-        i1, i2 = self.node_indices
-        v = self._v(x, i1) - self._v(x, i2)
-        current, g = self.current_and_conductance(v)
-        g += ctx.gmin
-        current += ctx.gmin * v
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, i1, g)
-        acc.add(i1, i2, -g)
-        acc.add(i2, i1, -g)
-        acc.add(i2, i2, g)
+        def stamp(x, jac, res, ctx):
+            v = x[i1] - x[i2]
+            current, g = _shockley(v, isat, nvt)
+            g += ctx.gmin
+            current += ctx.gmin * v
+            res[i1] += current
+            res[i2] -= current
+            jac[s11] += g
+            jac[s12] -= g
+            jac[s21] -= g
+            jac[s22] += g
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
+        return stamp
+
+    def compile_ac(self, slot):
         # Small-signal junction conductance at the DC operating point.
         i1, i2 = self.node_indices
-        v = self._v(x_op, i1) - self._v(x_op, i2)
-        _, g = self.current_and_conductance(v)
-        g += ctx.gmin
-        g_acc.add(i1, i1, g)
-        g_acc.add(i1, i2, -g)
-        g_acc.add(i2, i1, -g)
-        g_acc.add(i2, i2, g)
+        s11, s12, s21, s22 = _pairwise(slot, i1, i2)
+        isat, nvt = self.saturation_current, self.emission * self.thermal_voltage
+
+        def stamp(x_op, cond, susc, rhs, gmin):
+            _, g = _shockley(x_op[i1] - x_op[i2], isat, nvt)
+            g += gmin
+            cond[s11] += g
+            cond[s12] -= g
+            cond[s21] -= g
+            cond[s22] += g
+
+        return stamp
 
     def card(self):
         return (
@@ -745,13 +720,47 @@ class Diode(Element):
         )
 
 
+def _square_law(vov: float, vds: float, beta: float, lam: float):
+    """Level-1 ``(ids, gm, gds)`` for ``vds >= 0`` in the NMOS frame."""
+    if vov <= 0.0:
+        return 0.0, 0.0, 0.0
+    if vds < vov:  # triode
+        ids = beta * (vov * vds - 0.5 * vds * vds) * (1 + lam * vds)
+        gm = beta * vds * (1 + lam * vds)
+        gds = (
+            beta * (vov - vds) * (1 + lam * vds)
+            + beta * (vov * vds - 0.5 * vds * vds) * lam
+        )
+    else:  # saturation
+        ids = 0.5 * beta * vov * vov * (1 + lam * vds)
+        gm = beta * vov * (1 + lam * vds)
+        gds = 0.5 * beta * vov * vov * lam
+    return ids, gm, gds
+
+
+def _mos_eval(vd, vg, vs, pmos: bool, vth: float, beta: float, lam: float):
+    """Drain current (drain->source positive) from circuit-frame voltages.
+
+    Returns ``(ids, gm, gds, swapped)`` where the derivatives are with
+    respect to the *effective* (possibly swapped) terminals.
+    """
+    if pmos:
+        # Analyze the PMOS in the NMOS frame by mirroring voltages.
+        vd, vg, vs = -vd, -vg, -vs
+    swapped = vd < vs
+    if swapped:
+        vd, vs = vs, vd
+    ids, gm, gds = _square_law(vg - vs - vth, vd - vs, beta, lam)
+    return ids, gm, gds, swapped
+
+
 class MOSFET(Element):
     """Level-1 (square-law) MOSFET with channel-length modulation.
 
     Terminals are (drain, gate, source); the body is tied to the source
-    (no body effect — acceptable for the single-well testbenches here and
-    documented in DESIGN.md). ``vds < 0`` is handled by internally
-    swapping drain and source, so the device conducts symmetrically.
+    (no body effect, which suits the single-well testbenches here).
+    ``vds < 0`` is handled by internally swapping drain and source, so
+    the device conducts symmetrically.
 
     Parameters
     ----------
@@ -785,109 +794,96 @@ class MOSFET(Element):
 
     def _ids(self, vgs: float, vds: float) -> tuple[float, float, float]:
         """Square-law drain current and (gm, gds) for vds >= 0 (NMOS frame)."""
-        vov = vgs - abs(self.vth) if self.polarity == "nmos" else vgs - abs(self.vth)
-        lam = self.lambda_
-        if vov <= 0.0:
-            return 0.0, 0.0, 0.0
-        if vds < vov:  # triode
-            ids = self.beta * (vov * vds - 0.5 * vds * vds) * (1 + lam * vds)
-            gm = self.beta * vds * (1 + lam * vds)
-            gds = (
-                self.beta * (vov - vds) * (1 + lam * vds)
-                + self.beta * (vov * vds - 0.5 * vds * vds) * lam
-            )
-        else:  # saturation
-            ids = 0.5 * self.beta * vov * vov * (1 + lam * vds)
-            gm = self.beta * vov * (1 + lam * vds)
-            gds = 0.5 * self.beta * vov * vov * lam
-        return ids, gm, gds
+        return _square_law(vgs - abs(self.vth), vds, self.beta, self.lambda_)
+
+    def _model(self):
+        return self.polarity == "pmos", abs(self.vth), self.beta, self.lambda_
 
     def operating_point(self, x: np.ndarray) -> dict:
         """Named small-signal quantities at the solution ``x``."""
-        ids, gm, gds, _ = self._evaluate(x)
+        d, g, s = (0.0 if i < 0 else float(x[i]) for i in self.node_indices)
+        ids, gm, gds, _ = _mos_eval(d, g, s, *self._model())
         return {"ids": ids, "gm": gm, "gds": gds}
 
-    def _evaluate(self, x) -> tuple[float, float, float, bool]:
-        """Drain current (drain->source positive) in circuit frame.
+    def _orientations(self, slot):
+        """Residual rows and conductance slots per drain/source role.
 
-        Returns ``(id, gm, gds, swapped)`` where the derivatives are with
-        respect to the *effective* (possibly swapped) terminals.
+        Index ``swapped`` of the result gives ``(eff_d, eff_s)`` plus
+        the slots of ``(eff_d, g), (eff_d, eff_d), (eff_d, eff_s),
+        (eff_s, g), (eff_s, eff_d), (eff_s, eff_s)``; both roles are
+        requested, since they may flip between Newton iterations.
         """
         d, g, s = self.node_indices
-        vd, vg, vs = self._v(x, d), self._v(x, g), self._v(x, s)
-        if self.polarity == "pmos":
-            # Analyze the PMOS in the NMOS frame by mirroring voltages.
-            vd, vg, vs = -vd, -vg, -vs
-        swapped = vd < vs
-        if swapped:
-            vd, vs = vs, vd
-        vgs, vds = vg - vs, vd - vs
-        ids, gm, gds = self._ids(vgs, vds)
-        return ids, gm, gds, swapped
+        dg, dd, ds, sg, sd, ss = (
+            slot(d, g), slot(d, d), slot(d, s), slot(s, g), slot(s, d), slot(s, s)
+        )
+        return (d, s, dg, dd, ds, sg, sd, ss), (s, d, sg, ss, sd, dg, ds, dd)
 
-    def stamp_pattern(self, pattern):
-        # Union over the normal and drain/source-swapped footprints: the
-        # effective drain/source roles may flip between Newton iterations.
-        d_idx, g_idx, s_idx = self.node_indices
-        pattern.add(d_idx, g_idx)
-        pattern.add(s_idx, g_idx)
-        pattern.add_pairwise(d_idx, s_idx)
+    def compile(self, slot):
+        d, g, s = self.node_indices
+        orientations = self._orientations(slot)
+        _, _, _, sdd, sds, _, ssd, sss = orientations[False]
+        model = self._model()
+        sign = -1.0 if model[0] else 1.0
 
-    def stamp_values(self, acc, residual, x, ctx):
-        d_idx, g_idx, s_idx = self.node_indices
-        ids, gm, gds, swapped = self._evaluate(x)
-        sign = -1.0 if self.polarity == "pmos" else 1.0
-        if swapped:
-            eff_d, eff_s = s_idx, d_idx
-        else:
-            eff_d, eff_s = d_idx, s_idx
-        current = sign * ids
-        # KCL: current flows from effective drain to effective source.
-        self._add(residual, eff_d, current)
-        self._add(residual, eff_s, -current)
-        # In the mirrored/swapped frame, d(current)/d(node voltage) picks
-        # up the same sign twice (once for the current sign, once for the
-        # mirrored voltages), so the conductances stamp positively.
-        acc.add(eff_d, g_idx, gm)
-        acc.add(eff_d, eff_d, gds)
-        acc.add(eff_d, eff_s, -(gm + gds))
-        acc.add(eff_s, g_idx, -gm)
-        acc.add(eff_s, eff_d, -gds)
-        acc.add(eff_s, eff_s, gm + gds)
-        # gmin across drain-source for convergence
-        v_ds_real = self._v(x, d_idx) - self._v(x, s_idx)
-        leak = ctx.gmin * v_ds_real
-        self._add(residual, d_idx, leak)
-        self._add(residual, s_idx, -leak)
-        acc.add(d_idx, d_idx, ctx.gmin)
-        acc.add(d_idx, s_idx, -ctx.gmin)
-        acc.add(s_idx, d_idx, -ctx.gmin)
-        acc.add(s_idx, s_idx, ctx.gmin)
+        def stamp(x, jac, res, ctx):
+            vd, vs = x[d], x[s]
+            ids, gm, gds, swapped = _mos_eval(vd, x[g], vs, *model)
+            eff_d, eff_s, kdg, kdd, kds, ksg, ksd, kss = orientations[swapped]
+            current = sign * ids
+            # KCL: current flows from effective drain to effective source.
+            res[eff_d] += current
+            res[eff_s] -= current
+            # In the mirrored/swapped frame, d(current)/d(node voltage)
+            # picks up the same sign twice (once for the current sign,
+            # once for the mirrored voltages), so the conductances stamp
+            # positively.
+            jac[kdg] += gm
+            jac[kdd] += gds
+            jac[kds] -= gm + gds
+            jac[ksg] -= gm
+            jac[ksd] -= gds
+            jac[kss] += gm + gds
+            # gmin across drain-source for convergence
+            gmin = ctx.gmin
+            leak = gmin * (vd - vs)
+            res[d] += leak
+            res[s] -= leak
+            jac[sdd] += gmin
+            jac[sds] -= gmin
+            jac[ssd] -= gmin
+            jac[sss] += gmin
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
+        return stamp
+
+    def compile_ac(self, slot):
         """Small-signal gm/gds stamps at the DC operating point.
 
-        The conductance pattern matches the DC Jacobian of
-        :meth:`stamp_values` evaluated at ``x_op`` — that Jacobian *is*
-        the device linearization (the level-1 model carries no charge
-        storage, so the susceptance contribution is zero).
+        The conductance pattern matches the DC Jacobian of the Newton
+        stamp evaluated at ``x_op`` — that Jacobian *is* the device
+        linearization (the level-1 model carries no charge storage, so
+        the susceptance contribution is zero).
         """
-        d_idx, g_idx, s_idx = self.node_indices
-        _, gm, gds, swapped = self._evaluate(x_op)
-        if swapped:
-            eff_d, eff_s = s_idx, d_idx
-        else:
-            eff_d, eff_s = d_idx, s_idx
-        g_acc.add(eff_d, g_idx, gm)
-        g_acc.add(eff_d, eff_d, gds)
-        g_acc.add(eff_d, eff_s, -(gm + gds))
-        g_acc.add(eff_s, g_idx, -gm)
-        g_acc.add(eff_s, eff_d, -gds)
-        g_acc.add(eff_s, eff_s, gm + gds)
-        g_acc.add(d_idx, d_idx, ctx.gmin)
-        g_acc.add(d_idx, s_idx, -ctx.gmin)
-        g_acc.add(s_idx, d_idx, -ctx.gmin)
-        g_acc.add(s_idx, s_idx, ctx.gmin)
+        d, g, s = self.node_indices
+        orientations = self._orientations(slot)
+        _, _, _, sdd, sds, _, ssd, sss = orientations[False]
+        model = self._model()
+
+        def stamp(x_op, cond, susc, rhs, gmin):
+            _, gm, gds, swapped = _mos_eval(x_op[d], x_op[g], x_op[s], *model)
+            _, _, kdg, kdd, kds, ksg, ksd, kss = orientations[swapped]
+            cond[kdg] += gm
+            cond[kdd] += gds
+            cond[kds] -= gm + gds
+            cond[ksg] -= gm
+            cond[ksd] -= gds
+            cond[kss] += gm + gds
+            cond[sdd] += gmin
+            cond[sds] -= gmin
+            cond[ssd] -= gmin
+            cond[sss] += gmin
+
+        return stamp
 
     def card(self):
         return (

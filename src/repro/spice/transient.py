@@ -70,11 +70,11 @@ def _solve_timepoint(
             raise ConvergenceError(
                 f"{circuit.name}: singular Jacobian at t={ctx.time:.4g}s"
             ) from exc
-        step = float(np.max(np.abs(delta)))
+        step = float(np.abs(delta).max())
         if step > 1.0:
             delta *= 1.0 / step
         x = x + delta
-        if step < abstol + reltol * float(np.max(np.abs(x))):
+        if step < abstol + reltol * float(np.abs(x).max()):
             return x
     raise ConvergenceError(
         f"{circuit.name}: timepoint t={ctx.time:.4g}s did not converge"
@@ -114,8 +114,8 @@ def simulate_transient(
     backend:
         Linear-solver backend (``"dense"``, ``"sparse"``, ``"auto"`` or
         an instance); shared between the initial DC solve and every
-        timepoint, so the sparse backend performs its symbolic analysis
-        once per run — and, for linear circuits, one numeric
+        timepoint, so the circuit is compiled once per run — and, on
+        the sparse backend, linear circuits pay one numeric
         factorization per integration method.
 
     Returns
@@ -141,16 +141,21 @@ def simulate_transient(
     states = np.empty((n_steps + 1, circuit.size))
     states[0] = x
 
-    ctx = StampContext(mode="tran", dt=dt, gmin=gmin)
+    companion_states: dict = {}
     for k in range(1, n_steps + 1):
-        ctx.time = float(times[k])
-        ctx.x_prev = states[k - 1]
-        ctx.method = "be" if k == 1 else "trap"
+        ctx = StampContext(
+            mode="tran",
+            time=float(times[k]),
+            dt=dt,
+            method="be" if k == 1 else "trap",
+            x_prev=states[k - 1],
+            states=companion_states,
+            gmin=gmin,
+        )
         x = _solve_timepoint(
             circuit, solver, states[k - 1], ctx, max_iterations, abstol,
             reltol
         )
         states[k] = x
-        for element in circuit.elements:
-            element.update_state(x, ctx)
+        solver.accept(x, ctx)
     return TransientResult(circuit, times, states)

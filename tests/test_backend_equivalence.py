@@ -24,7 +24,6 @@ from repro.spice import (
     CurrentSource,
     DenseBackend,
     Diode,
-    Element,
     Inductor,
     Resistor,
     SparseBackend,
@@ -202,39 +201,6 @@ def test_auto_backend_switches_on_circuit_size():
     large = build_ladder_circuit(SPARSE_AUTO_THRESHOLD)
     assert large.size >= SPARSE_AUTO_THRESHOLD
     assert isinstance(resolve_backend(large, "auto"), SparseBackend)
-
-
-class _LegacyConductance(Resistor):
-    """Element predating the pattern/values split: only stamp()/ac_stamp()."""
-
-    def stamp(self, jacobian, residual, x, ctx):
-        i1, i2 = self.node_indices
-        g = 1.0 / self.resistance
-        current = g * (self._v(x, i1) - self._v(x, i2))
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        for row, col, value in ((i1, i1, g), (i1, i2, -g), (i2, i1, -g), (i2, i2, g)):
-            if row >= 0 and col >= 0:
-                jacobian[row, col] += value
-
-    stamp_pattern = Element.stamp_pattern
-    stamp_values = Element.stamp_values
-
-
-def test_legacy_stamp_only_element_works_on_dense_backend():
-    def build(cls):
-        c = Circuit("legacy")
-        c.add(VoltageSource("V1", "in", "0", dc=2.0))
-        c.add(cls("R1", "in", "out", 1e3))
-        c.add(Resistor("R2", "out", "0", 1e3))
-        return c
-
-    legacy = solve_dc(build(_LegacyConductance), backend="dense")
-    modern = solve_dc(build(Resistor), backend="dense")
-    np.testing.assert_array_equal(legacy.x, modern.x)
-    # the sparse backend needs the pattern API and says so
-    with pytest.raises(NotImplementedError, match="legacy dense stamp API"):
-        solve_dc(build(_LegacyConductance), backend="sparse")
 
 
 def test_backend_instance_is_validated_against_circuit():

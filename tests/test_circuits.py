@@ -1,5 +1,7 @@
 """Tests for repro.circuits (PVT corners, PA testbench, charge pump)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -14,13 +16,15 @@ from repro.circuits import (
     build_opamp_circuit,
     build_pa_circuit,
     charge_pump_currents,
+    power_amplifier,
     simulate_ladder,
     simulate_opamp,
     simulate_pa,
     typical_corner,
 )
 from repro.circuits.charge_pump import DEVICE_NAMES
-from repro.problems import FIDELITY_HIGH, FIDELITY_LOW
+from repro.problems import FIDELITY_HIGH, FIDELITY_LOW, FailedEvaluation
+from repro.spice import simulate_transient
 
 
 class TestPVT:
@@ -111,6 +115,22 @@ class TestPowerAmplifier:
         for _ in range(3):
             evaluation = problem.evaluate_unit(rng.random(5), FIDELITY_LOW)
             assert evaluation.metrics["Eff"] <= 120.0
+
+    def test_transient_non_convergence_is_a_failed_evaluation(self, monkeypatch):
+        # One Newton iteration per timepoint cannot follow the switch.
+        monkeypatch.setattr(
+            power_amplifier,
+            "simulate_transient",
+            functools.partial(simulate_transient, max_iterations=1),
+        )
+        problem = PowerAmplifierProblem()
+        evaluation = problem.evaluate_unit(np.full(5, 0.5), FIDELITY_LOW)
+        assert isinstance(evaluation, FailedEvaluation)
+        assert evaluation.error_type == "ConvergenceError"
+        assert "did not converge" in evaluation.error
+        assert evaluation.metrics == power_amplifier.FAILED_METRICS
+        assert evaluation.objective == -power_amplifier.FAILED_METRICS["Eff"]
+        assert not evaluation.feasible
 
 
 class TestChargePumpModel:

@@ -225,90 +225,6 @@ def test_update_schema_manifest_round_trip(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# stamp conformance
-# ----------------------------------------------------------------------
-def test_stamp001_values_without_pattern(tmp_path):
-    source = """
-    class Element:
-        pass
-
-
-    class Lopsided(Element):
-        def stamp_values(self, acc, residual, x, ctx):
-            pass
-    """
-    assert findings_of(tmp_path, source) == [("REPRO-STAMP001", 5)]
-
-
-def test_stamp002_undeclared_coordinate(tmp_path):
-    source = """
-    class Element:
-        pass
-
-
-    class Bad(Element):
-        def stamp_pattern(self, pattern):
-            i1, i2 = self.node_indices
-            pattern.add(i1, i1)
-
-        def stamp_values(self, acc, residual, x, ctx):
-            i1, i2 = self.node_indices
-            acc.add(i1, i2, 1.0)
-    """
-    assert findings_of(tmp_path, source) == [("REPRO-STAMP002", 12)]
-
-
-def test_stamp002_pairwise_and_branch_aliases_conform(tmp_path):
-    source = """
-    class Element:
-        pass
-
-
-    class Good(Element):
-        def stamp_pattern(self, pattern):
-            i1, i2 = self.node_indices
-            bi = self.branch_index
-            pattern.add_pairwise(i1, i2)
-            pattern.add(bi, bi)
-
-        def stamp_values(self, acc, residual, x, ctx):
-            i1, i2 = self.node_indices
-            bi = self.branch_index
-            acc.add(i1, i2, -1.0)
-            acc.add(bi, bi, 1.0)
-
-        def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-            i1, i2 = self.node_indices
-            g_acc.add(i2, i1, 1.0)
-            c_acc.add(i1, i1, 1.0)
-    """
-    assert findings_of(tmp_path, source) == []
-
-
-def test_stamp002_conditional_swap_union(tmp_path):
-    source = """
-    class Element:
-        pass
-
-
-    class Swapped(Element):
-        def stamp_pattern(self, pattern):
-            d, g, s = self.node_indices
-            pattern.add(d, g)
-
-        def stamp_values(self, acc, residual, x, ctx):
-            d, g, s = self.node_indices
-            if x[0] > 0:
-                eff_d, eff_s = s, d
-            else:
-                eff_d, eff_s = d, s
-            acc.add(eff_d, g, 1.0)
-    """
-    # eff_d can be N2 (the swap branch), and (N2, N1) is undeclared.
-    assert findings_of(tmp_path, source) == [("REPRO-STAMP002", 16)]
-
-
-# ----------------------------------------------------------------------
 # failure-path finiteness
 # ----------------------------------------------------------------------
 def test_fail001_unregistered_exception(tmp_path):
@@ -557,7 +473,6 @@ def test_cli_list_rules(capsys):
     for family in (
         "REPRO-RNG",
         "REPRO-SER",
-        "REPRO-STAMP",
         "REPRO-FAIL",
         "REPRO-OBS",
     ):

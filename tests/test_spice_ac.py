@@ -286,9 +286,9 @@ class TestSolveAcValidation:
     def test_unsupported_element_raises(self):
         from repro.spice.elements import Element
 
-        class Weird(Element):
-            def stamp(self, jacobian, residual, x, ctx):
-                pass
+        class Weird(Element):  # DC/transient only: no compile_ac
+            def compile(self, slot):
+                return lambda x, jac, res, ctx: None
 
         circuit = _rc_lowpass()
         circuit.add(Weird("X1", ("in",)))

@@ -19,6 +19,7 @@ from repro.spice import (
     simulate_transient,
     solve_dc,
 )
+from repro.spice import dc as dc_module
 
 
 class TestCircuitElaboration:
@@ -144,6 +145,41 @@ class TestDC:
         again = solve_dc(c, x0=first.x)
         assert again.iterations <= first.iterations
 
+    def test_gmin_ladder_reaches_a_requested_gmin_below_its_last_rung(
+        self, monkeypatch
+    ):
+        # Two stacked diodes fed by a current source defeat plain Newton
+        # within 12 iterations; gmin stepping converges. The 1 TOhm leak
+        # into a cut-off MOSFET (only gmin across its channel) puts the
+        # final gmin in the answer: v(leak) = v(a) / (1 + R * gmin).
+        c = Circuit("stacked-diodes")
+        c.add(CurrentSource("I1", "0", "a", dc=1e-3))
+        c.add(Diode("D1", "a", "b"))
+        c.add(Diode("D2", "b", "0"))
+        c.add(Resistor("RL", "a", "leak", 1e12))
+        c.add(MOSFET("M1", "leak", "0", "0"))
+        attempts = []
+        newton = dc_module._newton
+
+        def recording(circuit, solver, x0, ctx, *args):
+            try:
+                result = newton(circuit, solver, x0, ctx, *args)
+            except ConvergenceError:
+                attempts.append((ctx.gmin, False))
+                raise
+            attempts.append((ctx.gmin, True))
+            return result
+
+        monkeypatch.setattr(dc_module, "_newton", recording)
+        solution = solve_dc(c, max_iterations=12, gmin=1e-14)
+        ladder = [10.0 ** (-k) for k in range(2, 13)]
+        assert attempts == [(1e-14, False)] + [
+            (level, True) for level in ladder + [1e-14]
+        ]
+        assert solution.voltage("leak") == pytest.approx(
+            solution.voltage("a") / (1.0 + 1e12 * 1e-14), rel=1e-9
+        )
+
 
 class TestTransient:
     def test_rc_step_response(self):
@@ -207,6 +243,17 @@ class TestTransient:
         # capacitor pre-charged by the DC solve: output flat at 2 V
         np.testing.assert_allclose(result.voltage("out").values, 2.0,
                                    atol=1e-6)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_singular_system_raises_convergence_error(self, backend):
+        # Two sources fixing one node make identical branch rows.
+        c = Circuit()
+        c.add(VoltageSource("V1", "a", "0", dc=1.0))
+        c.add(VoltageSource("V2", "a", "0", dc=1.0))
+        c.add(Resistor("R1", "a", "0", 1.0))
+        with pytest.raises(ConvergenceError, match="singular Jacobian at t="):
+            simulate_transient(c, t_stop=1e-8, dt=1e-9, use_ic=True,
+                               backend=backend)
 
     def test_invalid_args(self):
         c = Circuit()

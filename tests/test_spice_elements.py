@@ -16,6 +16,7 @@ from repro.spice import (
     VCVS,
     Capacitor,
     CurrentSource,
+    DenseBackend,
     Diode,
     Inductor,
     PulseWave,
@@ -26,11 +27,19 @@ from repro.spice import (
 )
 
 
+class _Lone:
+    """Just enough circuit for a backend around one elaborated element."""
+
+    def __init__(self, element, n):
+        self.elements, self.size = [element], n
+
+    def _elaborate_if_needed(self):
+        pass
+
+
 def assemble(element, x, ctx, n):
-    jacobian = np.zeros((n, n))
-    residual = np.zeros(n)
-    element.stamp(jacobian, residual, x, ctx)
-    return jacobian, residual
+    """Dense Jacobian and residual of one element's compiled stamp."""
+    return DenseBackend(_Lone(element, n)).assemble(x, ctx)
 
 
 def check_jacobian_consistency(element, x, ctx, n, eps=1e-7):
@@ -245,7 +254,7 @@ class TestReactive:
         c = elaborate(Capacitor("C1", "a", "0", 1e-6), (0, -1))
         ctx = StampContext(mode="tran", dt=1e-6, method="be",
                            x_prev=np.array([0.0]))
-        c.update_state(np.array([1.0]), ctx)
+        DenseBackend(_Lone(c, 1)).accept(np.array([1.0]), ctx)
         assert ctx.states["C1"] == pytest.approx(1.0)
 
     def test_inductor_short_in_dc(self):
