@@ -97,17 +97,19 @@ def compare(
 
     A benchmark regresses when its min time slows down by more than
     ``tolerance`` (a fraction); with ``tolerance=None`` the comparison
-    is informational only.
+    is informational only. Benchmarks present in only one file are
+    listed by name: a fresh benchmark without a baseline row is
+    unguarded until the baseline is regenerated.
     """
     before = load_times(before_path)
     after = load_times(after_path)
     shared = sorted(set(before) & set(after))
-    if not shared:
-        print("no common benchmarks between the two files")
-        return []
     regressions = []
-    width = max(len(name) for name in shared)
-    print(f"{'benchmark'.ljust(width)}  before(ms)  after(ms)  speedup")
+    if shared:
+        width = max(len(name) for name in shared)
+        print(f"{'benchmark'.ljust(width)}  before(ms)  after(ms)  speedup")
+    else:
+        print("no common benchmarks between the two files")
     for name in shared:
         ratio = before[name] / after[name] if after[name] > 0 else float("inf")
         flag = ""
@@ -124,6 +126,9 @@ def compare(
     only_before = sorted(set(before) - set(after))
     if only_before:
         print(f"missing from the fresh run: {', '.join(only_before)}")
+    only_after = sorted(set(after) - set(before))
+    if only_after:
+        print(f"unguarded (no baseline row): {', '.join(only_after)}")
     return regressions
 
 

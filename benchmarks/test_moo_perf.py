@@ -3,7 +3,8 @@
 Covered by the CI perf guard (``run_benchmarks.py --compare``): exact
 hypervolume at archive-scale front sizes (2-D sweep and 3-D WFG),
 archive maintenance, the closed-form 2-D EHVI over an MSP-sized
-candidate batch, and one full MOMFBO suggest/observe iteration on the
+candidate batch, the 3-D Monte-Carlo EHVI at the ``pareto-opamp``
+acquisition shape, and one full MOMFBO suggest/observe iteration on the
 synthetic ZDT1 testbench.
 """
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.moo import (
+    ExpectedHypervolumeImprovement,
     MOMFBOptimizer,
     ParetoArchive,
     ehvi_2d,
@@ -77,6 +79,29 @@ def test_ehvi_2d_closed_form_batch200(benchmark, front_2d):
     values = benchmark(ehvi_2d, mu, var, front_2d, np.array([1.1, 1.1]))
     assert values.shape == (200,)
     assert np.all(values >= 0)
+
+
+def test_ehvi_mc_3d_batch(benchmark):
+    """Monte-Carlo EHVI at the ``pareto-opamp`` acquisition shape: 61
+    candidates, 8 common-random-number draws, a 4-point 3-D front."""
+    rng = np.random.default_rng(4)
+    # Points on a plane of constant sum are mutually non-dominated.
+    front = 0.9 * rng.dirichlet(np.ones(3), size=4)
+
+    def linear(j):
+        def predict(x):
+            return 0.2 + 0.6 * x[:, j], np.full(x.shape[0], 0.02)
+
+        return predict
+
+    acquisition = ExpectedHypervolumeImprovement(
+        [linear(j) for j in range(3)], front, np.ones(3),
+        z=rng.standard_normal((8, 3)),
+    )
+    x = rng.uniform(0.0, 1.0, size=(61, 3))
+    values = benchmark(acquisition, x)
+    assert values.shape == (61,)
+    assert np.all(values >= 0) and np.any(values > 0)
 
 
 def test_momfbo_iteration(once):

@@ -49,7 +49,7 @@ import numpy as np
 from scipy.stats import norm
 
 from ..acquisition.functions import probability_of_feasibility
-from .hypervolume import exclusive_hypervolume
+from .hypervolume import mean_exclusive_hypervolume
 from .pareto import non_dominated_mask
 
 __all__ = [
@@ -183,6 +183,8 @@ class ExpectedHypervolumeImprovement:
                 raise ValueError(
                     f"z draws have {z.shape[1]} columns for {m} objectives"
                 )
+            if z.shape[0] == 0:
+                raise ValueError("z needs at least one Monte-Carlo draw")
         self.z = z
 
     def _posterior(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,16 +214,9 @@ class ExpectedHypervolumeImprovement:
 
     def _monte_carlo(self, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         """Common-random-number MC EHVI for three or more objectives."""
-        values = np.zeros(mu.shape[0])
-        front = self.front
-        ref = self.ref_point
-        for i in range(mu.shape[0]):
-            samples = mu[i][None, :] + sigma[i][None, :] * self.z
-            improvement = 0.0
-            for sample in samples:
-                improvement += exclusive_hypervolume(sample, front, ref)
-            values[i] = improvement / self.z.shape[0]
-        return values
+        assert self.z is not None  # required for 3+ objectives by __init__
+        samples = mu[:, None, :] + sigma[:, None, :] * self.z[None, :, :]
+        return mean_exclusive_hypervolume(samples, self.front, self.ref_point)
 
 
 def draw_simplex_weights(

@@ -1,10 +1,11 @@
 """Pareto archive, hypervolume and multi-objective acquisition tests.
 
 The hypervolume implementations (2-D sweep, WFG recursion) are pinned
-three ways: against each other on shared cases, against brute-force
-Monte-Carlo integration on random fronts, and by hypothesis property
-tests (permutation invariance, monotonicity under insertion, agreement
-with the brute-force domination check).
+four ways: against each other on shared cases, against brute-force
+Monte-Carlo integration on random fronts, by hypothesis property tests
+(permutation invariance, monotonicity under insertion, agreement with
+the brute-force domination check), and bit for bit against the numpy
+WFG recursion kept below as the oracle of the scalar kernel.
 """
 
 import numpy as np
@@ -39,6 +40,121 @@ def brute_force_mask(points):
                 mask[i] = False
                 break
     return mask
+
+
+def _oracle_clean_front(points, ref):
+    f = np.atleast_2d(np.asarray(points, dtype=float))
+    if f.size == 0:
+        return f.reshape(0, ref.size)
+    f = f[np.all(f < ref[None, :], axis=1)]
+    if f.shape[0] == 0:
+        return f
+    return f[non_dominated_mask(f)]
+
+
+def _oracle_hv_2d(front, ref):
+    f = front[np.lexsort((front[:, 1], front[:, 0]))]
+    volume = 0.0
+    b_min = ref[1]
+    for a, b in f:
+        if b < b_min:
+            volume += (ref[0] - a) * (b_min - b)
+            b_min = b
+    return volume
+
+
+def _oracle_wfg(front, ref, kind):
+    n = front.shape[0]
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return float(np.prod(ref - front[0]))
+    if front.shape[1] == 2:
+        return _oracle_hv_2d(front, ref)
+    f = front[np.argsort(-front[:, 0], kind=kind)]
+    volume = 0.0
+    for k in range(n):
+        volume += _oracle_exclusive(f[k], f[k + 1:], ref, kind)
+    return volume
+
+
+def _oracle_exclusive(point, others, ref, kind):
+    inclusive = float(np.prod(ref - point))
+    if others.shape[0] == 0:
+        return inclusive
+    limited = np.maximum(others, point[None, :])
+    limited = limited[np.all(limited < ref[None, :], axis=1)]
+    if limited.shape[0] == 0:
+        return inclusive
+    limited = limited[non_dominated_mask(limited)]
+    return inclusive - _oracle_wfg(limited, ref, kind)
+
+
+def oracle_hypervolume(points, ref, kind=None):
+    """The numpy WFG recursion the scalar kernel must reproduce bit for
+    bit; ``kind`` is forwarded to the first-objective ``np.argsort``."""
+    ref = np.asarray(ref, dtype=float).ravel()
+    front = _oracle_clean_front(points, ref)
+    if front.shape[0] == 0:
+        return 0.0
+    if ref.size == 2:
+        return float(_oracle_hv_2d(front, ref))
+    return float(_oracle_wfg(front, ref, kind))
+
+
+def oracle_exclusive_hypervolume(point, others, ref):
+    ref = np.asarray(ref, dtype=float).ravel()
+    p = np.asarray(point, dtype=float).ravel()
+    if not np.all(p < ref):
+        return 0.0
+    others = np.asarray(others, dtype=float).reshape(-1, ref.size)
+    return float(_oracle_exclusive(p, others, ref, None))
+
+
+def oracle_hypervolume_contributions(points, ref):
+    f = np.asarray(points, dtype=float).reshape(-1, np.size(ref))
+    return np.array(
+        [
+            oracle_exclusive_hypervolume(f[i], np.delete(f, i, axis=0), ref)
+            for i in range(f.shape[0])
+        ]
+    )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# Quarter-step grid: ties in every objective, and 1.25/1.5 fall outside
+# the 1.1 reference box.
+_GRID = st.integers(0, 6).map(lambda k: k / 4.0)
+
+
+@st.composite
+def tie_heavy_fronts(draw, max_points=7):
+    """``(n, m)`` fronts, m in {2, 3, 4}, on the quarter grid, with
+    duplicated rows; ``n`` may be 0."""
+    m = draw(st.integers(2, 4))
+    rows = draw(
+        st.lists(st.lists(_GRID, min_size=m, max_size=m), max_size=max_points)
+    )
+    if rows:
+        copies = draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))
+        rows += [rows[i] for i in copies]
+    return np.array(rows, dtype=float).reshape(len(rows), m)
+
+
+# Four 3-D points whose first objectives tie at 0.25. numpy's AVX-512
+# argsort visits the tied pair in reverse input order; a stable sort
+# keeps input order and lands one ulp away.
+ARGSORT_TIE_FRONT = np.array(
+    [
+        [0.25, 1.0, 0.375],
+        [0.25, 0.875, 0.5],
+        [0.75, 0.5, 0.625],
+        [0.375, 0.125, 0.875],
+    ]
+)
 
 
 def point_sets(min_dim=2, max_dim=4, max_points=12):
@@ -165,6 +281,33 @@ class TestHypervolume:
         assert hypervolume(points, ref) == pytest.approx(
             hypervolume(points[mask], ref), rel=1e-9, abs=1e-12
         )
+
+    @given(tie_heavy_fronts(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_numpy_oracle_bitwise(self, points, data):
+        m = points.shape[1]
+        ref = np.full(m, 1.1)
+        assert _bits(hypervolume(points, ref)) == _bits(
+            oracle_hypervolume(points, ref)
+        )
+        assert _bits(hypervolume_contributions(points, ref)) == _bits(
+            oracle_hypervolume_contributions(points, ref)
+        )
+        point = np.array(data.draw(st.lists(_GRID, min_size=m, max_size=m)))
+        assert _bits(exclusive_hypervolume(point, points, ref)) == _bits(
+            oracle_exclusive_hypervolume(point, points, ref)
+        )
+
+    def test_tied_first_objective_follows_argsort(self):
+        ref = np.full(3, 1.1)
+        expected = oracle_hypervolume(ARGSORT_TIE_FRONT, ref)
+        assert _bits(hypervolume(ARGSORT_TIE_FRONT, ref)) == _bits(expected)
+        keys = -ARGSORT_TIE_FRONT[:, 0]
+        if not np.array_equal(np.argsort(keys), np.argsort(keys, kind="stable")):
+            # Where numpy's default argsort is unstable on these keys, a
+            # stable sort changes the bits.
+            stable = oracle_hypervolume(ARGSORT_TIE_FRONT, ref, kind="stable")
+            assert stable != expected
 
     def test_contributions_match_leave_one_out(self):
         rng = np.random.default_rng(5)
@@ -323,6 +466,51 @@ class TestEHVI:
         assert values.shape == (2,) and np.all(values > 0)
         # fixed draws -> deterministic acquisition
         np.testing.assert_array_equal(values, acq(np.zeros((2, 4))))
+
+    def test_mc_path_rejects_zero_draws(self):
+        predictors = [_gaussian_predictor(0.5, 0.01)] * 3
+        with pytest.raises(ValueError, match="draw"):
+            ExpectedHypervolumeImprovement(
+                predictors, np.empty((0, 3)), np.ones(3), z=np.empty((0, 3))
+            )
+
+    def test_mc_path_matches_oracle_gains_on_tied_front(self):
+        # First objectives tie (0.25, 0.25, 0.5, 0.5) and one row repeats,
+        # so limit sets reach the kernel's argsort branch.
+        front = np.array(
+            [
+                [0.25, 0.5, 0.75],
+                [0.25, 0.75, 0.5],
+                [0.5, 0.25, 0.5],
+                [0.5, 0.5, 0.25],
+                [0.5, 0.5, 0.25],
+            ]
+        )
+        ref = np.ones(3)
+
+        def linear(j, var):
+            def predictor(x):
+                x = np.atleast_2d(x)
+                return 0.2 + 0.5 * x[:, j], np.full(x.shape[0], var)
+
+            return predictor
+
+        predictors = [linear(0, 0.02), linear(1, 0.03), linear(2, 0.01)]
+        z = np.random.default_rng(3).standard_normal((32, 3))
+        acq = ExpectedHypervolumeImprovement(predictors, front, ref, z=z)
+        x = np.random.default_rng(4).uniform(0.0, 1.0, size=(6, 3))
+        values = acq(x)
+
+        expected = np.zeros(x.shape[0])
+        for i in range(x.shape[0]):
+            mu = np.array([p(x[i : i + 1])[0][0] for p in predictors])
+            sigma = np.sqrt([0.02, 0.03, 0.01])
+            gain = 0.0
+            for sample in mu[None, :] + sigma[None, :] * z:
+                gain += oracle_exclusive_hypervolume(sample, front, ref)
+            expected[i] = gain / z.shape[0]
+        assert np.all(values > 0)
+        assert _bits(values) == _bits(expected)
 
 
 class TestParEGO:
