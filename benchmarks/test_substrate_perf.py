@@ -8,6 +8,7 @@ set the wall-clock of every experiment above.
 import numpy as np
 import pytest
 
+from repro.acquisition import WeightedEI
 from repro.circuits.power_amplifier import simulate_pa
 from repro.gp import GPR
 from repro.mf import NARGP
@@ -92,6 +93,58 @@ def test_nargp_predict_mc_fused(benchmark, nargp_model):
     mu, var = benchmark(nargp_model.predict, grid, z=z)
     assert mu.shape == (200,)
     assert np.all(var > 0)
+
+
+@pytest.fixture(scope="module")
+def polish_shape():
+    """Models and inputs of one wEI call at the MSP polish shape.
+
+    The served op-amp maximizes wEI (paper eq. 6) over an objective and
+    four constraints; its polish steps evaluate 6 points (d = 5) with 10
+    Monte-Carlo draws. One low GP and one fused NARGP per output are fit
+    once on a seeded synthetic set of 12 low / 5 high points, so no
+    simulation runs. At this size per-call dispatch, not arithmetic,
+    sets the cost, which ``test_nargp_predict_mc_fused`` (200 points x
+    64 draws) never sees.
+    """
+    rng = np.random.default_rng(11)
+    x_low, x_high = rng.random((12, 5)), rng.random((5, 5))
+    weights = rng.standard_normal((5, 5))
+    low_models, fused_models = [], []
+    for w in weights:
+        low = GPR(max_opt_iter=30).fit(
+            x_low, np.sin(x_low @ w), n_restarts=1, rng=rng
+        )
+        fused = NARGP(n_restarts=1, max_opt_iter=30).fit(
+            x_low, np.sin(x_low @ w),
+            x_high, 1.5 * np.sin(x_high @ w) + 0.2 * (x_high @ w) ** 2,
+            rng=rng, low_model=low,
+        )
+        low_models.append(low)
+        fused_models.append(fused)
+    z = rng.standard_normal(10)
+    x = rng.random((6, 5))
+    return low_models, fused_models, z, x
+
+
+def test_wei_low_polish_shape(benchmark, polish_shape):
+    """wEI on the low-fidelity GPs (Algorithm 1 line 5), one polish step."""
+    low_models, _, _, x = polish_shape
+    predictors = [lambda x, m=m: m.predict(x) for m in low_models]
+    acq = WeightedEI(predictors[0], predictors[1:], tau=-0.5)
+    values = benchmark(acq, x)
+    assert values.shape == (6,)
+    assert np.all(np.isfinite(values))
+
+
+def test_wei_fused_polish_shape(benchmark, polish_shape):
+    """wEI on the Monte-Carlo fused NARGP posteriors (line 6, eq. 10)."""
+    _, fused_models, z, x = polish_shape
+    predictors = [lambda x, m=m: m.predict(x, z=z) for m in fused_models]
+    acq = WeightedEI(predictors[0], predictors[1:], tau=-0.5)
+    values = benchmark(acq, x)
+    assert values.shape == (6,)
+    assert np.all(np.isfinite(values))
 
 
 def test_transient_rc_1000_steps(benchmark):

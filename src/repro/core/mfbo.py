@@ -177,6 +177,8 @@ class MFBOptimizer(StrategyBase):
             raise ValueError("fused_prediction must be 'mc' or 'mean_path'")
         if refit_every < 1:
             raise ValueError("refit_every must be >= 1")
+        if n_mc_samples < 1:
+            raise ValueError("n_mc_samples must be >= 1")
         self.budget = float(budget)
         self.n_init_low = int(n_init_low)
         self.n_init_high = int(n_init_high)

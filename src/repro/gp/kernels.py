@@ -360,15 +360,30 @@ class _Stationary(_ActiveDimsMixin, Kernel):
         scales = np.asarray(lengthscales, dtype=float) * np.ones(input_dim)
         if np.any(scales <= 0) or variance <= 0:
             raise ValueError("variance and lengthscales must be positive")
-        self._log_variance = float(np.log(variance))
-        self._log_lengthscales = np.log(scales)
+        self._set_log_params(float(np.log(variance)), np.log(scales))
         vb = _bounds_pair(variance_bounds, _LOG_VARIANCE_BOUNDS)
         lb = _bounds_pair(lengthscale_bounds, _LOG_LENGTHSCALE_BOUNDS)
         self._bounds = [vb] + [lb] * input_dim
 
+    def _set_log_params(
+        self, log_variance: float, log_lengthscales: np.ndarray
+    ) -> None:
+        """Store the log-space parameters and derive the linear-space ones.
+
+        Every kernel evaluation reads ``variance`` and
+        ``_inv_sq_lengthscales``; deriving them here, once per ``theta``
+        write, keeps an ``np.exp`` off each read. The derived array is
+        shared by all reads, so it is made read-only.
+        """
+        self._log_variance = log_variance
+        self._log_lengthscales = log_lengthscales
+        self._variance = float(np.exp(log_variance))
+        self._inv_sq_lengthscales = np.exp(-2.0 * log_lengthscales)
+        self._inv_sq_lengthscales.flags.writeable = False
+
     @property
     def variance(self) -> float:
-        return float(np.exp(self._log_variance))
+        return self._variance
 
     @property
     def lengthscales(self) -> np.ndarray:
@@ -410,10 +425,6 @@ class _Stationary(_ActiveDimsMixin, Kernel):
     def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
         workspace[self] = self._sq_diffs(x)
 
-    @property
-    def _inv_sq_lengthscales(self) -> np.ndarray:
-        return np.exp(-2.0 * self._log_lengthscales)
-
     def _weighted_sq_traces(
         self, weight: np.ndarray, sq_diffs: np.ndarray
     ) -> np.ndarray:
@@ -438,8 +449,7 @@ class _Stationary(_ActiveDimsMixin, Kernel):
             raise ValueError(
                 f"expected {1 + self.input_dim} parameters, got {value.size}"
             )
-        self._log_variance = float(value[0])
-        self._log_lengthscales = value[1:].copy()
+        self._set_log_params(float(value[0]), value[1:].copy())
 
     @property
     def bounds(self) -> list[tuple[float, float]]:
@@ -466,9 +476,16 @@ class RBF(_Stationary):
         x2: np.ndarray | None = None,
         workspace: dict | None = None,
     ) -> np.ndarray:
-        sq_diffs = self._sq_diffs(x1, x2, workspace)
-        sq = sq_diffs @ self._inv_sq_lengthscales
-        return self.variance * np.exp(-0.5 * sq)
+        return self._from_sq_diffs(self._sq_diffs(x1, x2, workspace))
+
+    def _from_sq_diffs(self, sq_diffs: np.ndarray) -> np.ndarray:
+        """Covariance from a ``(n1, n2, d)`` :meth:`_sq_diffs` tensor.
+
+        The one place the SE formula is evaluated; callers that already
+        hold the squared differences (NARGP's fused prediction shares one
+        tensor between its two x-factors) skip recomputing them.
+        """
+        return self.variance * np.exp(-0.5 * (sq_diffs @ self._inv_sq_lengthscales))
 
     def gradients(
         self, x: np.ndarray, workspace: dict | None = None
@@ -489,9 +506,7 @@ class RBF(_Stationary):
     ) -> np.ndarray:
         sq_diffs = self._sq_diffs(x, None, workspace)
         if k is None:
-            k = self.variance * np.exp(
-                -0.5 * (sq_diffs @ self._inv_sq_lengthscales)
-            )
+            k = self._from_sq_diffs(sq_diffs)
         w = inner * k
         out = np.empty(self.n_params)
         out[0] = np.sum(w)

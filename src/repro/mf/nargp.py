@@ -21,7 +21,7 @@ import numpy as np
 from ..gp.gpr import GPR
 from ..obs import span
 from ..rng import ensure_rng
-from ..gp.kernels import RBF, Product, Sum, nargp_kernel
+from ..gp.kernels import RBF, Kernel, Product, Sum, nargp_kernel
 
 __all__ = ["NARGP"]
 
@@ -77,6 +77,9 @@ class NARGP:
         self.low_model: GPR | None = None
         self.high_model: GPR | None = None
         self._dim: int | None = None
+        # (kernel, d, factors) of the last high-model kernel resolved by
+        # _eq9_factors: the structure check runs once per kernel object.
+        self._eq9: tuple | None = None
 
     # ------------------------------------------------------------------
     # training
@@ -209,19 +212,26 @@ class NARGP:
             acquisition optimizer requires within one BO iteration.
         """
         self._require_fit()
+        if z is not None:
+            z = np.asarray(z, dtype=float).ravel()
+            n_mc = z.size
+        else:
+            n_mc = n_mc_samples if n_mc_samples is not None else self.n_mc_samples
+        if n_mc < 1:
+            raise ValueError(
+                f"empty Monte-Carlo draw: {n_mc} low-fidelity samples "
+                "requested, fused prediction needs at least one"
+            )
         x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
         n = x_star.shape[0]
 
         if z is not None:
-            z = np.asarray(z, dtype=float).ravel()
-            n_mc = z.size
             mu_low, var_low = self.low_model.predict(x_star)
             low_samples = (
                 mu_low[None, :] + np.sqrt(var_low)[None, :] * z[:, None]
             )
         else:
             rng = ensure_rng(rng)
-            n_mc = n_mc_samples if n_mc_samples is not None else self.n_mc_samples
             if self.joint_low_samples:
                 low_samples = self.low_model.sample_posterior(
                     x_star, n_mc, rng=rng
@@ -235,8 +245,10 @@ class NARGP:
                 )
 
         mu_s, var_s = self._fused_predict_batched(x_star, low_samples)
-        mu = np.mean(mu_s, axis=0)
-        second_moment = np.mean(var_s + mu_s * mu_s, axis=0)
+        # Sum then divide is what np.mean does, without its per-call
+        # argument handling.
+        mu = mu_s.sum(axis=0) / n_mc
+        second_moment = (var_s + mu_s * mu_s).sum(axis=0) / n_mc
         var = second_moment - mu * mu
         return mu, np.maximum(var, 1e-12)
 
@@ -257,28 +269,20 @@ class NARGP:
         high = self.high_model
         n_mc, n = low_samples.shape
         d = x_star.shape[1]
-        kernel = high.kernel
-        structured = (
-            isinstance(kernel, Sum)
-            and isinstance(kernel.left, Product)
-            and isinstance(kernel.left.left, RBF)
-            and isinstance(kernel.left.right, RBF)
-            and isinstance(kernel.right, RBF)
-            and np.array_equal(kernel.left.left.active_dims, [d])
-            and np.array_equal(kernel.left.right.active_dims, np.arange(d))
-            and np.array_equal(kernel.right.active_dims, np.arange(d))
-        )
-        if not structured:
+        factors = self._eq9_factors(high.kernel, d)
+        if factors is None:
             augmented = np.empty((n_mc, n, d + 1))
             augmented[:, :, :-1] = x_star[None, :, :]
             augmented[:, :, -1] = low_samples
             return high.predict_multi(augmented)
 
-        k1, k2, k3 = kernel.left.left, kernel.left.right, kernel.right
+        k1, k2, k3 = factors
         x_train = high.x_train  # augmented training inputs (n_h, d + 1)
-        aug_once = np.column_stack([x_star, low_samples[0]])
-        k2_x = k2(aug_once, x_train)  # (n, n_h), f column ignored
-        k3_x = k3(aug_once, x_train)
+        # k2 and k3 share their active dims, hence one (m, n_h, d)
+        # squared-difference tensor; the f column never enters it.
+        sq_diffs = k2._sq_diffs(x_star, x_train)
+        k2_x = k2._from_sq_diffs(sq_diffs)
+        k3_x = k3._from_sq_diffs(sq_diffs)
         f_train = x_train[:, d]  # low-fidelity outputs at training sites
         # k1 factor over all samples, assembled in place: exp work is the
         # irreducible cost, everything else reuses the one buffer.
@@ -290,13 +294,41 @@ class NARGP:
         stacked = k_star.reshape(n_mc, n, -1)
         stacked *= k2_x[None, :, :]
         stacked += k3_x[None, :, :]
-        prior_diag = np.tile(kernel.diag(aug_once), n_mc)
+        # Stationary factors: diag k_h = v1 * v2 + v3 at every point.
+        prior_diag = np.full(n_mc * n, k1.variance * k2.variance + k3.variance)
         # Pass the mutated array, not k_star: reshape aliases today, but
         # correctness must not hinge on contiguity.
         mu, var = high.predict_from_cross(
             stacked.reshape(n_mc * n, -1), prior_diag
         )
         return mu.reshape(n_mc, n), var.reshape(n_mc, n)
+
+    def _eq9_factors(self, kernel: Kernel, d: int) -> tuple[RBF, RBF, RBF] | None:
+        """``(k1, k2, k3)`` when ``kernel`` is eq. 9's
+        ``k1(f, f') * k2(x, x') + k3(x, x')`` over ``d`` design columns
+        and one low-fidelity column, else ``None``.
+
+        The answer depends only on the kernel tree, so it is worked out
+        once per high-model kernel object and ``d``.
+        """
+        cached = self._eq9
+        if cached is not None and cached[0] is kernel and cached[1] == d:
+            return cached[2]
+        factors: tuple[RBF, RBF, RBF] | None = None
+        if isinstance(kernel, Sum) and isinstance(kernel.left, Product):
+            k1, k2, k3 = kernel.left.left, kernel.left.right, kernel.right
+            x_dims = np.arange(d)
+            if (
+                isinstance(k1, RBF)
+                and isinstance(k2, RBF)
+                and isinstance(k3, RBF)
+                and np.array_equal(k1.active_dims, [d])
+                and np.array_equal(k2.active_dims, x_dims)
+                and np.array_equal(k3.active_dims, x_dims)
+            ):
+                factors = (k1, k2, k3)
+        self._eq9 = (kernel, d, factors)
+        return factors
 
     def predict_mean_path(
         self, x_star: np.ndarray

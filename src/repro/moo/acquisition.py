@@ -46,9 +46,12 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
-from ..acquisition.functions import probability_of_feasibility
+from ..acquisition.functions import (
+    _norm_cdf,
+    _norm_pdf,
+    probability_of_feasibility,
+)
 from .hypervolume import mean_exclusive_hypervolume
 from .pareto import non_dominated_mask
 
@@ -69,7 +72,7 @@ def _psi(
 ) -> np.ndarray:
     """Partial expected improvement ``E[(a - y) 1{y < b}]``."""
     lam = (b - mu) / sigma
-    return sigma * norm.pdf(lam) + (a - mu) * norm.cdf(lam)
+    return sigma * _norm_pdf(lam) + (a - mu) * _norm_cdf(lam)
 
 
 def ehvi_2d(
@@ -114,9 +117,9 @@ def ehvi_2d(
 
     term1 = _psi(a[None, :], a[None, :], mu1, s1)
     lam_next = (b_next[None, :] - mu2) / s2  # -inf in the last column
-    cdf_next = norm.cdf(lam_next)
+    cdf_next = _norm_cdf(lam_next)
     psi_prev_prev = _psi(b_prev[None, :], b_prev[None, :], mu2, s2)
-    psi_prev_next = s2 * norm.pdf(lam_next) + (b_prev[None, :] - mu2) * cdf_next
+    psi_prev_next = s2 * _norm_pdf(lam_next) + (b_prev[None, :] - mu2) * cdf_next
     gap = np.where(np.isfinite(b_next), b_prev - b_next, 0.0)
     term2 = gap[None, :] * cdf_next + psi_prev_prev - psi_prev_next
 

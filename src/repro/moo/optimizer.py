@@ -154,6 +154,8 @@ class MOMFBOptimizer(StrategyBase):
             raise ValueError("fusion must be 'nargp' or 'ar1'")
         if ehvi_mc_samples < 1:
             raise ValueError("ehvi_mc_samples must be >= 1")
+        if n_mc_samples < 1:
+            raise ValueError("n_mc_samples must be >= 1")
         self.budget = float(budget)
         self.n_init_low = int(n_init_low)
         self.n_init_high = int(n_init_high)

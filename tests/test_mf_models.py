@@ -97,6 +97,20 @@ class TestNARGP:
         with pytest.raises(ValueError):
             NARGP(n_mc_samples=0)
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            {"z": np.array([])},
+            {"n_mc_samples": 0},
+            {"n_mc_samples": -1},
+        ],
+        ids=["empty-z", "zero-samples", "negative-samples"],
+    )
+    def test_empty_mc_draw_raises_value_error(self, pedagogical_fit, draw):
+        model, *_ = pedagogical_fit
+        with pytest.raises(ValueError, match="empty Monte-Carlo draw"):
+            model.predict(np.array([[0.3], [0.7]]), **draw)
+
     def test_variance_positive_everywhere(self, pedagogical_fit):
         model, *_ = pedagogical_fit
         rng = np.random.default_rng(6)

@@ -126,6 +126,24 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             MFBOptimizer(problem, fused_prediction="nope")
 
+    @pytest.mark.parametrize("n_mc", [0, -1])
+    def test_empty_mc_draw_rejected_before_any_simulation(
+        self, monkeypatch, n_mc
+    ):
+        problem = ForresterProblem()
+        calls = []
+        evaluate = problem.evaluate_unit
+        monkeypatch.setattr(
+            problem, "evaluate_unit",
+            lambda *args: calls.append(args) or evaluate(*args),
+        )
+        with pytest.raises(ValueError, match="n_mc_samples"):
+            MFBOptimizer(
+                problem, budget=6.0, n_init_low=4, n_init_high=2, seed=0,
+                **{**FAST, "n_mc_samples": n_mc},
+            ).run()
+        assert calls == []
+
     def test_single_fidelity_problem_rejected(self):
         problem = ForresterProblem()
         problem.fidelities = (FIDELITY_HIGH,)

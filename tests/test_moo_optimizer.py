@@ -60,6 +60,24 @@ class TestBasicBehavior:
         with pytest.raises(ValueError):
             make(budget=-1.0)
 
+    @pytest.mark.parametrize("n_mc", [0, -1])
+    def test_empty_mc_draw_rejected_before_any_simulation(
+        self, monkeypatch, n_mc
+    ):
+        problem = ZDT1Problem()
+        calls = []
+        evaluate = problem.evaluate_unit
+        monkeypatch.setattr(
+            problem, "evaluate_unit",
+            lambda *args: calls.append(args) or evaluate(*args),
+        )
+        with pytest.raises(ValueError, match="n_mc_samples"):
+            MOMFBOptimizer(
+                problem, budget=5.0, n_init_low=6, n_init_high=2, seed=7,
+                **{**FAST, "n_mc_samples": n_mc},
+            ).run()
+        assert calls == []
+
     @pytest.mark.parametrize("acquisition", ["ehvi", "parego"])
     def test_run_produces_valid_archive(self, acquisition):
         optimizer = make(acquisition=acquisition)

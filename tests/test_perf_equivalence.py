@@ -9,6 +9,8 @@ These tests pin that equivalence to tight tolerances on seeded data.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MFBOptimizer
 from repro.gp import GPR
@@ -194,6 +196,110 @@ def test_batched_fusion_matches_per_sample_loop(fitted_nargp):
 
     np.testing.assert_allclose(mu, ref_mu, rtol=1e-8)
     np.testing.assert_allclose(var, ref_var, rtol=1e-8)
+
+
+# The oracle: NARGP's fused predictor as it was before the eq. 9 structure
+# was resolved once per kernel, kept verbatim (kernel-tree k2/k3 calls,
+# the tiled kernel diagonal, np.mean moment matching).
+def oracle_fused_predict_batched(model, x_star, low_samples):
+    high = model.high_model
+    n_mc, n = low_samples.shape
+    d = x_star.shape[1]
+    kernel = high.kernel
+    k1, k2, k3 = kernel.left.left, kernel.left.right, kernel.right
+    x_train = high.x_train
+    aug_once = np.column_stack([x_star, low_samples[0]])
+    k2_x = k2(aug_once, x_train)
+    k3_x = k3(aug_once, x_train)
+    f_train = x_train[:, d]
+    k_star = low_samples.reshape(-1, 1) - f_train[None, :]
+    np.multiply(k_star, k_star, out=k_star)
+    k_star *= -0.5 * np.exp(-2.0 * k1._log_lengthscales)[0]
+    np.exp(k_star, out=k_star)
+    k_star *= float(np.exp(k1._log_variance))
+    stacked = k_star.reshape(n_mc, n, -1)
+    stacked *= k2_x[None, :, :]
+    stacked += k3_x[None, :, :]
+    prior_diag = np.tile(kernel.diag(aug_once), n_mc)
+    mu, var = high.predict_from_cross(
+        stacked.reshape(n_mc * n, -1), prior_diag
+    )
+    return mu.reshape(n_mc, n), var.reshape(n_mc, n)
+
+
+def oracle_nargp_predict(model, x_star, z):
+    x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
+    z = np.asarray(z, dtype=float).ravel()
+    mu_low, var_low = model.low_model.predict(x_star)
+    low_samples = mu_low[None, :] + np.sqrt(var_low)[None, :] * z[:, None]
+    mu_s, var_s = oracle_fused_predict_batched(model, x_star, low_samples)
+    mu = np.mean(mu_s, axis=0)
+    second_moment = np.mean(var_s + mu_s * mu_s, axis=0)
+    var = second_moment - mu * mu
+    return mu, np.maximum(var, 1e-12)
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_low=st.integers(3, 14),
+    n_high=st.integers(2, 6),
+    d=st.integers(1, 4),
+    n_mc=st.integers(1, 12),
+    m=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_prediction_matches_oracle_bitwise(n_low, n_high, d, n_mc, m, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal(d)
+    x_low = rng.random((n_low, d))
+    x_high = rng.random((n_high, d))
+    y_low = np.sin(3.0 * x_low @ weights)
+    y_high = (x_high @ weights) * np.sin(3.0 * x_high @ weights) ** 2
+    model = NARGP(n_restarts=1, max_opt_iter=8).fit(
+        x_low, y_low, x_high, y_high, rng=rng
+    )
+    x_star = rng.random((m, d))
+    z = rng.standard_normal(n_mc)
+    mu_low, var_low = model.low_model.predict(x_star)
+    low_samples = mu_low[None, :] + np.sqrt(var_low)[None, :] * z[:, None]
+
+    assert _bits(*model._fused_predict_batched(x_star, low_samples)) == _bits(
+        *oracle_fused_predict_batched(model, x_star, low_samples)
+    )
+    assert _bits(*model.predict(x_star, z=z)) == _bits(
+        *oracle_nargp_predict(model, x_star, z)
+    )
+    # The rng path draws the same samples as the oracle fed with them.
+    draws = np.random.default_rng(seed).standard_normal((n_mc, m))
+    got = model.predict(x_star, rng=np.random.default_rng(seed), n_mc_samples=n_mc)
+    low_samples = mu_low[None, :] + np.sqrt(var_low)[None, :] * draws
+    mu_s, var_s = oracle_fused_predict_batched(model, x_star, low_samples)
+    mu = np.mean(mu_s, axis=0)
+    var = np.maximum(np.mean(var_s + mu_s * mu_s, axis=0) - mu * mu, 1e-12)
+    assert _bits(*got) == _bits(mu, var)
+
+
+def test_refit_resolves_the_new_kernel():
+    """A refit swaps in a new high-fidelity kernel; predictions must
+    follow it, not a structure resolved for the previous one."""
+    rng = np.random.default_rng(8)
+    x_star = np.linspace(0.0, 1.0, 7)[:, None]
+    z = rng.standard_normal(5)
+    model = NARGP(n_restarts=1, max_opt_iter=20)
+    for n_high in (5, 8):
+        x_low = np.sort(rng.random(20))[:, None]
+        x_high = np.sort(rng.random(n_high))[:, None]
+        model.fit(
+            x_low, pedagogical_low(x_low), x_high, pedagogical_high(x_high),
+            rng=rng,
+        )
+        assert _bits(*model.predict(x_star, z=z)) == _bits(
+            *oracle_nargp_predict(model, x_star, z)
+        )
 
 
 def test_predict_multi_matches_stacked_predict(fitted_nargp):

@@ -90,6 +90,32 @@ class TestLazyImport:
         ).stdout.strip()
         assert out == "none", f"eagerly imported: {out}"
 
+    def test_optimizers_never_import_scipy_stats(self):
+        """Building and running both multi-fidelity optimizers must not
+        import ``scipy.stats``: nothing in the library needs it, and the
+        import alone costs start-up time and resident memory."""
+        import subprocess
+        import sys
+
+        code = """
+import sys
+import repro
+from repro.problems import ForresterProblem, ZDT1Problem
+
+fast = dict(msp_starts=10, msp_polish=1, n_restarts=1, n_mc_samples=4,
+            gp_max_opt_iter=10, seed=0)
+repro.MFBOptimizer(ForresterProblem(), budget=3.0, n_init_low=4,
+                   n_init_high=2, **fast).run()
+repro.MOMFBOptimizer(ZDT1Problem(), budget=3.0, n_init_low=4,
+                     n_init_high=2, ehvi_mc_samples=4, **fast).run()
+print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert out == "[]", f"scipy.stats modules imported: {out[:200]}"
+
     def test_submodules_reachable_as_attributes(self):
         assert repro.service.RunVault is repro.RunVault
         assert repro.registry.get_problem is repro.get_problem
