@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
 from ..core.history import History, Record
 from ..core.strategy import StrategyBase
 from ..design.sampling import maximin_latin_hypercube
@@ -48,10 +47,10 @@ class DEOptimizer(StrategyBase):
     strategy_id = "de"
     rng_stream_names = ("init", "de")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: Problem,
+        *,
         budget: int = 300,
         pop_size: int = 20,
         differential_weight: float = 0.8,

@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
 from ..acquisition.functions import lower_confidence_bound
 from ..core.history import History
 from ..core.strategy import StrategyBase
@@ -60,10 +59,10 @@ class GASPAD(StrategyBase):
     strategy_id = "gaspad"
     rng_stream_names = ("init", "gp", "de")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: Problem,
+        *,
         budget: int = 300,
         n_init: int = 40,
         pop_size: int = 20,
@@ -154,7 +153,11 @@ class GASPAD(StrategyBase):
         return [Suggestion(u, self._fidelity) for u in design]
 
     def _refill(self, k: int) -> None:
-        remaining = self.budget - self.history.n_evaluations(self._fidelity)
+        remaining = (
+            self.budget
+            - self.history.n_evaluations(self._fidelity)
+            - len(self._pending)
+        )
         m = min(k, remaining)
         if m <= 0:
             return

@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
 from ..core.history import History
 from ..core.strategy import StrategyBase
 from ..design.sampling import maximin_latin_hypercube, uniform
@@ -41,10 +40,10 @@ class RandomSearchOptimizer(StrategyBase):
     strategy_id = "random_search"
     rng_stream_names = ("init", "sample")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: Problem,
+        *,
         budget: int = 100,
         n_init: int = 10,
         seed: int | None = None,
@@ -70,7 +69,11 @@ class RandomSearchOptimizer(StrategyBase):
         return [Suggestion(u, self._fidelity) for u in design]
 
     def _refill(self, k: int) -> None:
-        remaining = self.budget - self.history.n_evaluations(self._fidelity)
+        remaining = (
+            self.budget
+            - self.history.n_evaluations(self._fidelity)
+            - len(self._pending)
+        )
         m = min(k, remaining)
         if m <= 0:
             return

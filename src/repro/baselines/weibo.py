@@ -1,15 +1,14 @@
-"""WEIBO — single-fidelity GP Bayesian optimization with weighted EI.
+"""WEIBO: single-fidelity GP Bayesian optimization with weighted EI.
 
 The state-of-the-art baseline the paper compares against (Lyu et al.,
 TCAS-I 2018, ref. [17]): a plain GP surrogate per output, the weighted
-Expected Improvement acquisition (eq. 6), and a multiple-starting-point
+Expected Improvement acquisition (eq. 6) and a multiple-starting-point
 acquisition search. All simulations run at the highest fidelity.
 
-Implements the ask/tell :class:`repro.session.Strategy` protocol:
-``suggest``/``observe`` drive the loop, ``run()`` is the legacy blocking
-wrapper. ``suggest(k > 1)`` produces distinct batch candidates via
-kriging-believer fantasization (each picked point is added to the
-surrogates with its posterior-mean outcome before the next search).
+WEIBO is the one-stage, one-fidelity case of
+:class:`repro.core.loop.BOLoop`, with a budget that counts simulations.
+``suggest(k > 1)`` and suggestions still in flight are believed at the
+posterior mean (kriging believer) before the next search.
 """
 
 from __future__ import annotations
@@ -18,20 +17,15 @@ from typing import Callable
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
-from ..acquisition.functions import ViolationAcquisition, WeightedEI
 from ..core.history import History
-from ..core.strategy import StrategyBase
-from ..design.sampling import maximin_latin_hypercube
+from ..core.loop import BOLoop, Stage
 from ..gp.gpr import GPR
-from ..optim.msp import MSPOptimizer
 from ..problems.base import Problem
-from ..session.protocol import Suggestion
 
 __all__ = ["WEIBO"]
 
 
-class WEIBO(StrategyBase):
+class WEIBO(BOLoop):
     """Single-fidelity constrained BO baseline.
 
     Parameters
@@ -52,10 +46,10 @@ class WEIBO(StrategyBase):
     strategy_id = "weibo"
     rng_stream_names = ("init", "gp", "acq", "dedup")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: Problem,
+        *,
         budget: int = 150,
         n_init: int = 40,
         n_restarts: int = 2,
@@ -71,91 +65,48 @@ class WEIBO(StrategyBase):
             raise ValueError("budget must cover the initial design")
         if n_init < 1:
             raise ValueError("n_init must be >= 1")
-        self.budget = int(budget)
         self.n_init = int(n_init)
-        self.n_restarts = int(n_restarts)
-        self.gp_max_opt_iter = int(gp_max_opt_iter)
-        self.msp_starts = int(msp_starts)
-        self.msp_polish = int(msp_polish)
-        self.ball_stddev = float(ball_stddev)
-        self._setup_base(problem, seed, rng, callback)
-        self.acq_optimizer = MSPOptimizer(
-            dim=problem.dim,
-            n_starts=msp_starts,
-            n_polish=msp_polish,
-            frac_around_low=0.0,
-            frac_around_high=0.40,
-            ball_stddev=ball_stddev,
-            rng=self._rng_streams["acq"],
-        )
         self._fidelity = problem.highest_fidelity
+        self._setup_loop(
+            problem,
+            {self._fidelity: self.n_init},
+            budget=int(budget),
+            n_restarts=n_restarts,
+            gp_max_opt_iter=gp_max_opt_iter,
+            msp_starts=msp_starts,
+            msp_polish=msp_polish,
+            ball_stddev=ball_stddev,
+            seed=seed,
+            rng=rng,
+            callback=callback,
+        )
 
     # ------------------------------------------------------------------
-    def _fit_models(self) -> list[GPR]:
+    # BOLoop hooks
+    # ------------------------------------------------------------------
+    def _fit(self) -> list[GPR]:
         x, y, constraints = self.history.data(self._fidelity)
-        targets = [y] + [constraints[:, i] for i in range(constraints.shape[1])]
         return [
             GPR(max_opt_iter=self.gp_max_opt_iter).fit(
                 x, t, n_restarts=self.n_restarts, rng=self._rng_streams["gp"]
             )
-            for t in targets
+            for t in [y, *constraints.T]
         ]
 
-    def _build_acquisition(self, models: list[GPR]):
-        predictors = [(lambda m: (lambda x: m.predict(x)))(m) for m in models]
-        feasible = self.history.best_feasible(self._fidelity)
-        if feasible is not None or len(predictors) == 1:
-            tau = feasible.objective if feasible is not None else None
-            return WeightedEI(predictors[0], predictors[1:], tau)
-        return ViolationAcquisition(predictors[1:])
+    def _stages(self, models: list[GPR]) -> list[Stage]:
+        tau, incumbent = self._incumbent(self._fidelity)
+        return [(self._wei([m.predict for m in models], tau), None, incumbent)]
 
-    # ------------------------------------------------------------------
-    # ask/tell hooks
-    # ------------------------------------------------------------------
-    def _initial_suggestions(self) -> list[Suggestion]:
-        design = maximin_latin_hypercube(
-            self.n_init, self.problem.dim, self._rng_streams["init"]
-        )
-        return [Suggestion(u, self._fidelity) for u in design]
+    def _believe(
+        self, models: list[GPR], x: np.ndarray, fidelity: str, pending: bool
+    ) -> list[GPR]:
+        """Kriging believer: pretend the posterior mean was observed so
+        the next search explores elsewhere. The believing surrogates are
+        local to this refill; the next one refits from real data."""
+        x2 = x[None, :]
+        for gp in models:
+            gp.add_points(x2, gp.predict_mean(x2))
+        return models
 
-    def _refill(self, k: int) -> None:
-        remaining = self.budget - self.history.n_evaluations(self._fidelity)
-        m = min(k, remaining)
-        if m <= 0:
-            return
-        self._iteration += 1
-        models = self._fit_models()
-        avoid: list[np.ndarray] = []
-        for j in range(m):
-            acquisition = self._build_acquisition(models)
-            incumbent = self.history.incumbent(self._fidelity)
-            result = self.acq_optimizer.maximize(
-                acquisition,
-                incumbent_high=None if incumbent is None else incumbent.x_unit,
-            )
-            x_next = self._dedup(result.x, avoid=avoid)
-            self._queue.append(Suggestion(x_next, self._fidelity))
-            avoid.append(x_next)
-            if j < m - 1:
-                # Kriging believer: pretend the posterior mean was
-                # observed so the next batch member explores elsewhere.
-                # The polluted surrogates are local to this refill; the
-                # next one refits from real data.
-                x2 = x_next[None, :]
-                for gp in models:
-                    gp.add_points(x2, gp.predict_mean(x2))
-
-    def _done(self) -> bool:
-        return self.history.n_evaluations(self._fidelity) >= self.budget
-
-    # ------------------------------------------------------------------
     def config_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "n_init": self.n_init,
-            "n_restarts": self.n_restarts,
-            "gp_max_opt_iter": self.gp_max_opt_iter,
-            "msp_starts": self.msp_starts,
-            "msp_polish": self.msp_polish,
-            "ball_stddev": self.ball_stddev,
-        }
+        return {**super().config_dict(), "n_init": self.n_init}

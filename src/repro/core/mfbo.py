@@ -1,61 +1,62 @@
-"""The proposed multi-fidelity Bayesian optimizer — paper Algorithm 1.
+"""The proposed multi-fidelity Bayesian optimizer: paper Algorithm 1.
 
-Per iteration:
+Per iteration (the loop itself is :class:`repro.core.loop.BOLoop`):
 
-1. fit one low-fidelity GP per output (objective + each constraint) on
-   the coarse data;
-2. fit one fused NARGP per output on the fine data, reusing the low GPs;
-3. maximize the **low-fidelity** wEI acquisition with the MSP strategy
-   to obtain ``x_l*``;
-4. maximize the **fused** wEI acquisition (Monte-Carlo posterior with
-   common random numbers) seeded with ``x_l*`` to obtain the query
-   ``x_t``;
-5. pick the evaluation fidelity with the eq. 11/12 criterion
+1. fit one low-fidelity GP per output (objective, then each constraint)
+   on the coarse data, and one fused NARGP (or AR1) per output on the
+   fine data, reusing the low GPs;
+2. maximize the **low-fidelity** wEI with the MSP strategy to obtain
+   ``x_l*``;
+3. maximize the **fused** wEI (Monte-Carlo posterior with common random
+   numbers) seeded with ``x_l*`` to obtain the query ``x_t``;
+4. pick the evaluation fidelity with the eq. 11/12 criterion
    (:class:`repro.core.FidelitySelector`);
-6. simulate, log the cost, repeat until the equivalent-high-fidelity
+5. simulate, log the cost, repeat until the equivalent-high-fidelity
    budget is exhausted.
 
-If no feasible point is known at a fidelity level, the corresponding
-acquisition switches to the first-feasible-point search of §4.2
-(minimizing predicted total constraint violation, eq. 13).
+While no feasible point is known at a fidelity, that fidelity's
+acquisition is the first-feasible-point search of §4.2 (minimizing the
+predicted total constraint violation, eq. 13).
 
-The optimizer is an **ask/tell strategy** (:mod:`repro.session`): steps
-1-5 live in :meth:`MFBOptimizer.suggest`, step 6 is the caller's —
-:meth:`MFBOptimizer.observe` feeds the result back. :meth:`run` is the
-legacy blocking loop, now a thin driver over an
-:class:`repro.session.OptimizationSession` with a serial evaluator.
-``suggest(k)`` with ``k > 1`` produces a *batch* of distinct candidates
-via constant-liar fantasization: each picked candidate is temporarily
-added to copies of the models with its posterior-mean ("kriging
-believer") outcome before the next one is searched, so a parallel
-evaluator can simulate the whole batch at once.
+The optimizer is an ask/tell strategy (:mod:`repro.session`): steps 1-4
+run in :meth:`MFBOptimizer.suggest`, step 5 is the caller's, and
+:meth:`MFBOptimizer.observe` feeds the result back. ``suggest(k)`` with
+``k > 1`` returns a batch: each picked candidate is believed at its
+posterior mean (constant liar / kriging believer) on copies of the
+models before the next one is searched. Suggestions still in flight on
+an asynchronous evaluator are believed the same way.
 """
 
 from __future__ import annotations
 
 import copy
-import time
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
-from ..acquisition.functions import ViolationAcquisition, WeightedEI
-from ..design.sampling import maximin_latin_hypercube
 from ..gp.gpr import GPR
-from ..mf.ar1 import AR1
-from ..mf.nargp import NARGP
-from ..optim.msp import MSPOptimizer
 from ..problems.base import FIDELITY_HIGH, FIDELITY_LOW, Problem
-from ..session.protocol import Suggestion
-from .fidelity import FidelitySelector
 from .history import History
-from .strategy import StrategyBase
+from .loop import BOLoop, Stage
 
 __all__ = ["MFBOptimizer"]
 
 
-class MFBOptimizer(StrategyBase):
+@dataclass
+class _Models:
+    """One iteration's models and the training arrays beliefs extend."""
+
+    low: list[GPR]
+    fused: list
+    #: common random numbers of the fused Monte-Carlo posterior
+    z: np.ndarray
+    #: ``(x_low, targets_low, x_high, targets_high)``
+    data: tuple
+
+
+class MFBOptimizer(BOLoop):
     """Multi-fidelity constrained Bayesian optimizer (the paper's method).
 
     Parameters
@@ -140,10 +141,10 @@ class MFBOptimizer(StrategyBase):
     strategy_id = "mfbo"
     rng_stream_names = ("init", "gp", "mc", "acq", "dedup")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: Problem,
+        *,
         budget: float = 50.0,
         n_init_low: int = 10,
         n_init_high: int = 5,
@@ -162,126 +163,99 @@ class MFBOptimizer(StrategyBase):
         rng: np.random.Generator | None = None,
         callback: Callable[[int, History], None] | None = None,
     ) -> None:
-        if len(problem.fidelities) != 2:
-            raise ValueError(
-                "MFBOptimizer needs a two-fidelity problem; got "
-                f"{problem.fidelities}"
-            )
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        if n_init_low < 1 or n_init_high < 1:
-            raise ValueError("initial designs need at least one point each")
-        if fusion not in ("nargp", "ar1"):
-            raise ValueError("fusion must be 'nargp' or 'ar1'")
         if fused_prediction not in ("mc", "mean_path"):
             raise ValueError("fused_prediction must be 'mc' or 'mean_path'")
         if refit_every < 1:
             raise ValueError("refit_every must be >= 1")
-        if n_mc_samples < 1:
-            raise ValueError("n_mc_samples must be >= 1")
-        self.budget = float(budget)
-        self.n_init_low = int(n_init_low)
-        self.n_init_high = int(n_init_high)
-        self.n_mc_samples = int(n_mc_samples)
-        self.n_restarts = int(n_restarts)
-        self.msp_starts = int(msp_starts)
-        self.msp_polish = int(msp_polish)
-        self.ball_stddev = float(ball_stddev)
-        self.fusion = fusion
         self.fused_prediction = fused_prediction
         self.refit_every = int(refit_every)
-        self.gp_max_opt_iter = int(gp_max_opt_iter)
-        self.max_iterations = int(max_iterations)
-        self._setup_base(problem, seed, rng, callback)
-        self.selector = FidelitySelector(gamma=gamma)
-        self.acq_optimizer = MSPOptimizer(
-            dim=problem.dim,
-            n_starts=msp_starts,
-            n_polish=msp_polish,
-            frac_around_low=0.10,
-            frac_around_high=0.40,
+        self._setup_two_fidelity(
+            problem,
+            budget=budget,
+            n_init_low=n_init_low,
+            n_init_high=n_init_high,
+            gamma=gamma,
+            n_mc_samples=n_mc_samples,
+            fusion=fusion,
+            max_iterations=max_iterations,
+            n_restarts=n_restarts,
+            gp_max_opt_iter=gp_max_opt_iter,
+            msp_starts=msp_starts,
+            msp_polish=msp_polish,
             ball_stddev=ball_stddev,
-            rng=self._rng_streams["acq"],
+            seed=seed,
+            rng=rng,
+            callback=callback,
         )
         self._low_models: list[GPR] | None = None
         self._fused_models: list | None = None
 
     # ------------------------------------------------------------------
-    # initialization
+    # BOLoop hooks
     # ------------------------------------------------------------------
-    def _initial_suggestions(self) -> list[Suggestion]:
-        rng = self._rng_streams["init"]
-        init_low = maximin_latin_hypercube(
-            self.n_init_low, self.problem.dim, rng
-        )
-        init_high = maximin_latin_hypercube(
-            self.n_init_high, self.problem.dim, rng
-        )
-        return [Suggestion(u, FIDELITY_LOW) for u in init_low] + [
-            Suggestion(u, FIDELITY_HIGH) for u in init_high
-        ]
-
-    def _initialize(self) -> None:
-        """Evaluate the whole initial design in-process (eagerly)."""
-        for x_unit, fidelity in self.suggest(self.n_init_low + self.n_init_high):
-            self.observe(
-                x_unit, fidelity, self.problem.evaluate_unit(x_unit, fidelity)
-            )
-
-    # ------------------------------------------------------------------
-    # model fitting
-    # ------------------------------------------------------------------
-    def _fit_models(self, iteration: int = 1) -> tuple[list[GPR], list]:
-        """Fit per-output low GPs and fused high models.
+    def _fit(self) -> _Models:
+        """Per-output low GPs and fused models, plus this iteration's
+        Monte-Carlo draws.
 
         Output order: objective first, then one model per constraint.
         Every ``refit_every``-th iteration performs the full
-        hyperparameter optimization; in between, cached models are
+        hyperparameter optimization; in between, the cached models are
         extended with the cheap incremental path.
         """
-        rng = self._rng_streams["gp"]
         x_low, y_low, c_low = self.history.data(FIDELITY_LOW)
         x_high, y_high, c_high = self.history.data(FIDELITY_HIGH)
-        targets_low = [y_low] + [c_low[:, i] for i in range(c_low.shape[1])]
-        targets_high = [y_high] + [c_high[:, i] for i in range(c_high.shape[1])]
-
-        full_refit = (
+        data = (x_low, [y_low, *c_low.T], x_high, [y_high, *c_high.T])
+        if (
             self._low_models is None
-            or (iteration - 1) % self.refit_every == 0
-        )
-        if not full_refit:
-            self._update_models(
-                self._low_models, self._fused_models,
-                x_low, targets_low, x_high, targets_high,
-            )
-            return self._low_models, self._fused_models
+            or self._fused_models is None
+            or (self._iteration - 1) % self.refit_every == 0
+        ):
+            self._low_models, self._fused_models = self._fit_pairs(*data)
+        else:
+            self._update_models(self._low_models, self._fused_models, *data)
+        z = self._rng_streams["mc"].standard_normal(self.n_mc_samples)
+        return _Models(self._low_models, self._fused_models, z, data)
 
-        low_models: list[GPR] = []
-        fused_models: list = []
-        for t_low, t_high in zip(targets_low, targets_high):
-            low_gp = GPR(max_opt_iter=self.gp_max_opt_iter).fit(
-                x_low, t_low, n_restarts=self.n_restarts, rng=rng
-            )
-            low_models.append(low_gp)
-            if self.fusion == "nargp":
-                fused = NARGP(
-                    n_mc_samples=self.n_mc_samples,
-                    n_restarts=self.n_restarts,
-                    max_opt_iter=self.gp_max_opt_iter,
-                )
-                fused.fit(
-                    x_low, t_low, x_high, t_high,
-                    rng=rng, low_model=low_gp,
-                )
-            else:
-                fused = AR1(n_restarts=self.n_restarts)
-                fused.fit(
-                    x_low, t_low, x_high, t_high,
-                    rng=rng, low_model=low_gp,
-                )
-            fused_models.append(fused)
-        self._low_models, self._fused_models = low_models, fused_models
-        return low_models, fused_models
+    def _stages(self, models: _Models) -> list[Stage]:
+        """Algorithm 1 l.5-6: low-fidelity wEI -> ``x_l*``, then the
+        fused wEI seeded with it."""
+        tau_low, x_low = self._incumbent(FIDELITY_LOW)
+        tau_high, x_high = self._incumbent(FIDELITY_HIGH)
+        if self.fused_prediction == "mean_path":
+            fused = [m.predict_mean_path for m in models.fused]
+        else:
+            fused = [partial(m.predict, z=models.z) for m in models.fused]
+        return [
+            (self._wei([m.predict for m in models.low], tau_low), x_low, x_high),
+            (self._wei(fused, tau_high), x_low, x_high),
+        ]
+
+    def _believe(
+        self, models: _Models, x: np.ndarray, fidelity: str, pending: bool
+    ) -> _Models:
+        """Constant liar: believe the posterior mean at ``x``.
+
+        The first belief of an iteration copies the models, so the
+        cached ones stay clean. The believed outcome is appended to the
+        training arrays and pushed through the same incremental update
+        the ``refit_every`` path uses: no hyperparameter search, no RNG
+        draw.
+        """
+        if models.low is self._low_models:
+            models.low, models.fused = copy.deepcopy((models.low, models.fused))
+        x2 = x[None, :]
+        x_low, t_low, x_high, t_high = models.data
+        if fidelity == FIDELITY_LOW:
+            values = [float(m.predict_mean(x2)[0]) for m in models.low]
+            x_low = np.vstack([x_low, x2])
+            t_low = [np.append(t, v) for t, v in zip(t_low, values)]
+        else:
+            values = [float(f.predict_mean_path(x2)[0][0]) for f in models.fused]
+            x_high = np.vstack([x_high, x2])
+            t_high = [np.append(t, v) for t, v in zip(t_high, values)]
+        models.data = (x_low, t_low, x_high, t_high)
+        self._update_models(models.low, models.fused, *models.data)
+        return models
 
     def _update_models(
         self,
@@ -298,8 +272,8 @@ class MFBOptimizer(StrategyBase):
         incremental Cholesky append; when the low-fidelity posterior
         moved, the fused model's augmented training inputs are re-cached
         (one factorization, no hyperparameter search). Operates on the
-        model lists it is given, so the constant-liar batch path can
-        apply the same update to fantasy copies.
+        model lists it is given, so beliefs can apply the same update to
+        their copies.
         """
         for low_gp, fused, t_low, t_high in zip(
             low_models, fused_models, targets_low, targets_high
@@ -331,235 +305,13 @@ class MFBOptimizer(StrategyBase):
                 fused.delta_model.fit(x_high, residual, optimize=False)
 
     # ------------------------------------------------------------------
-    # acquisition assembly
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _gp_predictor(
-        model: GPR,
-    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        return lambda x: model.predict(x)
-
-    def _fused_predictor(
-        self, model: NARGP | AR1, z: np.ndarray
-    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        if self.fused_prediction == "mean_path":
-            return lambda x: model.predict_mean_path(x)
-        return lambda x: model.predict(x, z=z)
-
-    def _build_acquisition(
-        self,
-        predictors: Sequence,
-        tau: float | None,
-        any_feasible: bool,
-    ) -> WeightedEI | ViolationAcquisition:
-        """wEI when a feasible incumbent exists, else eq. 13 / pure PF."""
-        objective_predictor = predictors[0]
-        constraint_predictors = list(predictors[1:])
-        if any_feasible or not constraint_predictors:
-            return WeightedEI(objective_predictor, constraint_predictors, tau)
-        return ViolationAcquisition(constraint_predictors)
-
-    # ------------------------------------------------------------------
-    # suggestion (Algorithm 1, lines 4-7)
-    # ------------------------------------------------------------------
-    def _propose(
-        self, low_models: list[GPR], fused_models: list, z: np.ndarray,
-        avoid: list[np.ndarray],
-    ) -> tuple[np.ndarray, float]:
-        """One acquisition round: MSP low search, then the fused search.
-
-        Returns the deduplicated candidate and the fused acquisition
-        value at the (pre-dedup) optimum — the latter feeds telemetry
-        only, never the trajectory.
-        """
-        best_low = self.history.incumbent(FIDELITY_LOW)
-        best_high = self.history.incumbent(FIDELITY_HIGH)
-        feasible_low = self.history.best_feasible(FIDELITY_LOW)
-        feasible_high = self.history.best_feasible(FIDELITY_HIGH)
-
-        # --- step 1: low-fidelity acquisition -> x_l* (Algorithm 1 l.5)
-        low_predictors = [self._gp_predictor(m) for m in low_models]
-        low_acq = self._build_acquisition(
-            low_predictors,
-            feasible_low.objective if feasible_low is not None else None,
-            feasible_low is not None,
-        )
-        low_result = self.acq_optimizer.maximize(
-            low_acq,
-            incumbent_low=None if best_low is None else best_low.x_unit,
-            incumbent_high=None if best_high is None else best_high.x_unit,
-        )
-
-        # --- step 2: fused acquisition seeded with x_l* (l.6)
-        fused_predictors = [
-            self._fused_predictor(m, z) for m in fused_models
-        ]
-        high_acq = self._build_acquisition(
-            fused_predictors,
-            feasible_high.objective if feasible_high is not None else None,
-            feasible_high is not None,
-        )
-        high_result = self.acq_optimizer.maximize(
-            high_acq,
-            incumbent_low=None if best_low is None else best_low.x_unit,
-            incumbent_high=None if best_high is None else best_high.x_unit,
-            extra_starts=low_result.x,
-        )
-        return self._dedup(high_result.x, avoid=avoid), float(high_result.value)
-
-    def _refill(self, k: int) -> None:
-        """One Algorithm-1 iteration producing up to ``k`` candidates.
-
-        The first candidate follows the paper exactly. Further candidates
-        use constant-liar fantasization: the picked point is added to
-        *copies* of the models with its posterior-mean outcome, and the
-        acquisition search repeats — yielding distinct batch members
-        without spending any simulation budget.
-
-        Suggestions still in flight on an asynchronous evaluator are
-        fantasized the same way before the batch loop (and their cost
-        counted against the budget), so an out-of-order refill neither
-        re-proposes nor re-budgets them; once the real evaluation lands,
-        :meth:`observe` retracts the pending entry and the next refill
-        replaces the fantasy with the truth. With an empty pending set —
-        every synchronous driver — this block is a no-op and the
-        trajectory is bit-identical to the serial path.
-        """
-        self._iteration += 1
-        fit_start = time.perf_counter()
-        low_models, fused_models = self._fit_models(self._iteration)
-        fit_elapsed = time.perf_counter() - fit_start
-        z = self._rng_streams["mc"].standard_normal(self.n_mc_samples)
-
-        propose_start = time.perf_counter()
-        chosen: list[str] = []
-        first_acq: float | None = None
-        cur_low, cur_fused = low_models, fused_models
-        fantasy = None  # lazily created copies + growing data arrays
-        projected = self.history.total_cost + self.pending_cost
-        avoid: list[np.ndarray] = []
-        if self._pending:
-            cur_low, cur_fused = copy.deepcopy((low_models, fused_models))
-            fantasy = self._fantasy_data()
-            for s in self._pending:
-                x_pending = np.asarray(s.x_unit, dtype=float).ravel()
-                self._fantasize(
-                    cur_low, cur_fused, fantasy, x_pending, s.fidelity
-                )
-                avoid.append(x_pending)
-        for j in range(k):
-            x_next, acq_value = self._propose(cur_low, cur_fused, z, avoid)
-            if first_acq is None:
-                first_acq = acq_value
-
-            # --- step 3: fidelity selection (l.7, eq. 11/12)
-            fidelity = self.selector.select(x_next, cur_low)
-            remaining = self.budget - projected
-            if self.problem.cost(fidelity) > remaining + 1e-9:
-                if self.problem.cost(FIDELITY_LOW) <= remaining + 1e-9:
-                    # Not enough budget left for a fine simulation; spend
-                    # the remainder on the coarse simulator instead of
-                    # overshooting.
-                    fidelity = FIDELITY_LOW
-                else:
-                    # Not even a coarse simulation fits: stop here so the
-                    # reported cost respects the equivalent-cost budget
-                    # the tables are keyed on.
-                    self._stopped = True
-                    break
-            self._queue.append(Suggestion(x_next, fidelity))
-            chosen.append(fidelity)
-            avoid.append(x_next)
-            projected += self.problem.cost(fidelity)
-            if j < k - 1:
-                if fantasy is None:
-                    cur_low, cur_fused = copy.deepcopy(
-                        (low_models, fused_models)
-                    )
-                    fantasy = self._fantasy_data()
-                self._fantasize(cur_low, cur_fused, fantasy, x_next, fidelity)
-        self._emit_telemetry(
-            "iteration",
-            fit_s=fit_elapsed,
-            propose_s=time.perf_counter() - propose_start,
-            fidelity=chosen[0] if chosen else None,
-            n_suggested=len(chosen),
-            acq=first_acq,
-            budget_spent=float(projected),
-        )
-
-    def _fantasy_data(self) -> dict:
-        """Mutable copies of the per-fidelity training arrays."""
-        x_low, y_low, c_low = self.history.data(FIDELITY_LOW)
-        x_high, y_high, c_high = self.history.data(FIDELITY_HIGH)
-        return {
-            "x_low": x_low,
-            "t_low": [y_low] + [c_low[:, i] for i in range(c_low.shape[1])],
-            "x_high": x_high,
-            "t_high": [y_high] + [c_high[:, i] for i in range(c_high.shape[1])],
-        }
-
-    def _fantasize(
-        self,
-        low_models: list[GPR],
-        fused_models: list,
-        fantasy: dict,
-        x: np.ndarray,
-        fidelity: str,
-    ) -> None:
-        """Constant-liar update: believe the posterior mean at ``x``.
-
-        Appends the fantasized outcome to the fantasy data arrays and
-        pushes it through the same incremental posterior-cache update the
-        ``refit_every`` path uses — no hyperparameter search, no RNG
-        consumption.
-        """
-        x2 = x[None, :]
-        if fidelity == FIDELITY_LOW:
-            values = [float(m.predict_mean(x2)[0]) for m in low_models]
-            fantasy["x_low"] = np.vstack([fantasy["x_low"], x2])
-            fantasy["t_low"] = [
-                np.append(t, v) for t, v in zip(fantasy["t_low"], values)
-            ]
-        else:
-            values = [
-                float(f.predict_mean_path(x2)[0][0]) for f in fused_models
-            ]
-            fantasy["x_high"] = np.vstack([fantasy["x_high"], x2])
-            fantasy["t_high"] = [
-                np.append(t, v) for t, v in zip(fantasy["t_high"], values)
-            ]
-        self._update_models(
-            low_models, fused_models,
-            fantasy["x_low"], fantasy["t_low"],
-            fantasy["x_high"], fantasy["t_high"],
-        )
-
-    def _done(self) -> bool:
-        return (
-            self.history.total_cost >= self.budget - 1e-9
-            or self._iteration >= self.max_iterations
-        )
-
-    # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
     def config_dict(self) -> dict:
         return {
-            "budget": self.budget,
-            "n_init_low": self.n_init_low,
-            "n_init_high": self.n_init_high,
-            "gamma": self.selector.gamma,
-            "n_mc_samples": self.n_mc_samples,
-            "n_restarts": self.n_restarts,
-            "msp_starts": self.msp_starts,
-            "msp_polish": self.msp_polish,
-            "ball_stddev": self.ball_stddev,
-            "fusion": self.fusion,
+            **super().config_dict(),
             "fused_prediction": self.fused_prediction,
             "refit_every": self.refit_every,
-            "gp_max_opt_iter": self.gp_max_opt_iter,
-            "max_iterations": self.max_iterations,
         }
 
     def _extra_state(self) -> dict:
@@ -593,17 +345,9 @@ class MFBOptimizer(StrategyBase):
             GPR(max_opt_iter=self.gp_max_opt_iter).load_state_dict(state)
             for state in models["low"]
         ]
-        fused_models = []
-        for state, low_gp in zip(models["fused"], low_models):
-            if state["type"] == "nargp":
-                fused = NARGP(
-                    n_mc_samples=self.n_mc_samples,
-                    n_restarts=self.n_restarts,
-                    max_opt_iter=self.gp_max_opt_iter,
-                )
-            else:
-                fused = AR1(n_restarts=self.n_restarts)
-            fused.load_state_dict(state, low_model=low_gp)
-            fused_models.append(fused)
+        fused_models = [
+            self._fused_model(state["type"]).load_state_dict(state, low_model=low_gp)
+            for state, low_gp in zip(models["fused"], low_models)
+        ]
         self._low_models = low_models
         self._fused_models = fused_models

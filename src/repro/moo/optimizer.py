@@ -1,57 +1,47 @@
 """Multi-objective multi-fidelity Bayesian optimizer.
 
-:class:`MOMFBOptimizer` lifts the paper's Algorithm-1 machinery to
-vector objectives: one fused NARGP/AR1 model per objective (and per
-constraint) on top of the shared two-fidelity data, the eq. 11/12
-fidelity-selection rule over the low-fidelity models of *all* outputs,
-and the MSP low-then-fused acquisition search — with the scalar wEI
-replaced by a multi-objective acquisition:
+:class:`MOMFBOptimizer` lifts the paper's Algorithm 1 to vector
+objectives. It is one more :class:`repro.core.loop.BOLoop`: one fused
+NARGP/AR1 model per objective (and per constraint) on the shared
+two-fidelity data, the eq. 11/12 fidelity rule over the low-fidelity
+models of *all* outputs, and the MSP low-then-fused acquisition search,
+with the scalar wEI replaced by a multi-objective acquisition:
 
 ``acquisition="ehvi"``
     Expected hypervolume improvement over the current Pareto archive
     (closed form for two objectives, common-random-number Monte Carlo
     for three or more), multiplied by the constraint feasibility
-    probabilities.
+    probabilities. Batch members and in-flight suggestions are believed
+    at their fused posterior mean, appended to the working front.
 ``acquisition="parego"``
     Knowles' ParEGO: each iteration draws a simplex weight vector,
     scalarizes the observed objectives with the augmented Tchebycheff
-    function, and runs the existing single-objective wEI path on the
-    scalarized target.
+    function and runs the wEI search on the scalarized target. Every
+    later batch member draws its own weight vector and refits; in-flight
+    suggestions are only avoided.
 
-The optimizer is an ask/tell :class:`repro.session.Strategy`: it
-checkpoints and resumes through :class:`repro.session.OptimizationSession`
-bit-for-bit, and ``suggest(k > 1)`` produces distinct batch candidates
-via constant-liar fantasization (EHVI: the predicted outcome of each
-picked candidate is appended to the working front; ParEGO: every batch
-member optimizes a freshly drawn weight vector). The Pareto archive is
-a pure function of the evaluation history, so resume rebuilds it
-instead of serializing it.
+Checkpoint and resume through :class:`repro.session.OptimizationSession`
+are bit-for-bit. The Pareto archive is a pure function of the
+evaluation history, so resume rebuilds it instead of serializing it.
 """
 
 from __future__ import annotations
 
-import time
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
-from ..acquisition.functions import ViolationAcquisition, WeightedEI
-from ..core.fidelity import FidelitySelector
+from ..acquisition.functions import ViolationAcquisition
 from ..core.history import History, Record
-from ..core.strategy import StrategyBase
-from ..design.sampling import maximin_latin_hypercube
+from ..core.loop import BOLoop, Stage
 from ..gp.gpr import GPR
-from ..mf.ar1 import AR1
-from ..mf.nargp import NARGP
-from ..optim.msp import MSPOptimizer
 from ..problems.base import FIDELITY_HIGH, FIDELITY_LOW
 from ..problems.multi import MultiObjectiveProblem
-from ..session.protocol import Suggestion
 from .acquisition import (
     ExpectedHypervolumeImprovement,
     ParEGOScalarizer,
-    Predictor,
     draw_simplex_weights,
 )
 from .hypervolume import hypervolume, hypervolume_contributions
@@ -60,7 +50,25 @@ from .pareto import ParetoArchive, non_dominated_mask
 __all__ = ["MOMFBOptimizer"]
 
 
-class MOMFBOptimizer(StrategyBase):
+@dataclass
+class _Models:
+    """One iteration's models and the state beliefs extend."""
+
+    low: list[GPR]
+    fused: list
+    #: common random numbers of the fused Monte-Carlo posterior
+    z: np.ndarray
+    #: EHVI: fixed draws of the Monte-Carlo integral (3+ objectives)
+    z_ehvi: np.ndarray | None = None
+    #: EHVI: believed objective vectors appended to the working front
+    front: list[np.ndarray] = field(default_factory=list)
+    #: ParEGO: the (low, fused) constraint models every member shares
+    constraints: tuple[list[GPR], list] = field(default_factory=lambda: ([], []))
+    #: ParEGO: the current member's scalarization
+    scalarizer: ParEGOScalarizer | None = None
+
+
+class MOMFBOptimizer(BOLoop):
     """Constrained multi-objective multi-fidelity Bayesian optimizer.
 
     Parameters
@@ -110,10 +118,10 @@ class MOMFBOptimizer(StrategyBase):
     strategy_id = "momfbo"
     rng_stream_names = ("init", "gp", "mc", "acq", "dedup", "scalar")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: MultiObjectiveProblem,
+        *,
         budget: float = 50.0,
         n_init_low: int = 10,
         n_init_high: int = 5,
@@ -139,26 +147,10 @@ class MOMFBOptimizer(StrategyBase):
                 "MOMFBOptimizer needs a MultiObjectiveProblem; got "
                 f"{type(problem).__name__}"
             )
-        if len(problem.fidelities) != 2:
-            raise ValueError(
-                "MOMFBOptimizer needs a two-fidelity problem; got "
-                f"{problem.fidelities}"
-            )
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        if n_init_low < 1 or n_init_high < 1:
-            raise ValueError("initial designs need at least one point each")
         if acquisition not in ("ehvi", "parego"):
             raise ValueError("acquisition must be 'ehvi' or 'parego'")
-        if fusion not in ("nargp", "ar1"):
-            raise ValueError("fusion must be 'nargp' or 'ar1'")
         if ehvi_mc_samples < 1:
             raise ValueError("ehvi_mc_samples must be >= 1")
-        if n_mc_samples < 1:
-            raise ValueError("n_mc_samples must be >= 1")
-        self.budget = float(budget)
-        self.n_init_low = int(n_init_low)
-        self.n_init_high = int(n_init_high)
         self.acquisition = acquisition
         self.ref_point_config = (
             None
@@ -171,44 +163,28 @@ class MOMFBOptimizer(StrategyBase):
             raise ValueError(
                 f"reference point needs {problem.n_objectives} coordinates"
             )
-        self.n_mc_samples = int(n_mc_samples)
         self.ehvi_mc_samples = int(ehvi_mc_samples)
         self.rho = float(rho)
-        self.n_restarts = int(n_restarts)
-        self.msp_starts = int(msp_starts)
-        self.msp_polish = int(msp_polish)
-        self.ball_stddev = float(ball_stddev)
-        self.fusion = fusion
-        self.gp_max_opt_iter = int(gp_max_opt_iter)
-        self.max_iterations = int(max_iterations)
-        self._setup_base(problem, seed, rng, callback)
-        self.selector = FidelitySelector(gamma=gamma)
-        self.acq_optimizer = MSPOptimizer(
-            dim=problem.dim,
-            n_starts=msp_starts,
-            n_polish=msp_polish,
-            frac_around_low=0.10,
-            frac_around_high=0.40,
+        self._setup_two_fidelity(
+            problem,
+            budget=budget,
+            n_init_low=n_init_low,
+            n_init_high=n_init_high,
+            gamma=gamma,
+            n_mc_samples=n_mc_samples,
+            fusion=fusion,
+            max_iterations=max_iterations,
+            n_restarts=n_restarts,
+            gp_max_opt_iter=gp_max_opt_iter,
+            msp_starts=msp_starts,
+            msp_polish=msp_polish,
             ball_stddev=ball_stddev,
-            rng=self._rng_streams["acq"],
+            seed=seed,
+            rng=rng,
+            callback=callback,
         )
         self.archive = ParetoArchive(problem.n_objectives)
         self._ref_point: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # initialization
-    # ------------------------------------------------------------------
-    def _initial_suggestions(self) -> list[Suggestion]:
-        rng = self._rng_streams["init"]
-        init_low = maximin_latin_hypercube(
-            self.n_init_low, self.problem.dim, rng
-        )
-        init_high = maximin_latin_hypercube(
-            self.n_init_high, self.problem.dim, rng
-        )
-        return [Suggestion(u, FIDELITY_LOW) for u in init_low] + [
-            Suggestion(u, FIDELITY_HIGH) for u in init_high
-        ]
 
     # ------------------------------------------------------------------
     # data plumbing
@@ -217,30 +193,21 @@ class MOMFBOptimizer(StrategyBase):
         self, fidelity: str
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Training arrays ``(x, objectives, constraints)`` at one fidelity."""
-        records = self.history.records_at(fidelity)
-        if not records:
-            raise ValueError(f"no evaluations at fidelity {fidelity!r}")
-        x = np.vstack([r.x_unit for r in records])
-        objectives = np.vstack([r.evaluation.objectives for r in records])
-        if records[0].evaluation.constraints.size:
-            constraints = np.vstack(
-                [r.evaluation.constraints for r in records]
-            )
-        else:
-            constraints = np.empty((len(records), 0))
+        x, _, constraints = self.history.data(fidelity)
+        objectives = np.vstack(
+            [r.evaluation.objectives for r in self.history.records_at(fidelity)]
+        )
         return x, objectives, constraints
 
-    def _all_objectives(self) -> np.ndarray:
-        return np.vstack(
-            [r.evaluation.objectives for r in self.history.records]
-        )
+    def _finite_objectives(self) -> np.ndarray:
+        observed = np.vstack([r.evaluation.objectives for r in self.history.records])
+        return observed[np.all(np.isfinite(observed), axis=1)]
 
     def _infer_ref_point(self) -> np.ndarray:
         """Config override, else observed nadir plus a 10% span margin."""
         if self.ref_point_config is not None:
             return np.asarray(self.ref_point_config, dtype=float)
-        observed = self._all_objectives()
-        observed = observed[np.all(np.isfinite(observed), axis=1)]
+        observed = self._finite_objectives()
         if observed.shape[0] == 0:
             raise RuntimeError(
                 "cannot infer a reference point: no finite objectives "
@@ -275,96 +242,101 @@ class MOMFBOptimizer(StrategyBase):
         return x_front[int(np.argmax(contributions))]
 
     # ------------------------------------------------------------------
-    # model fitting
+    # BOLoop hooks
     # ------------------------------------------------------------------
-    def _fit_pairs(
-        self,
-        x_low: np.ndarray,
-        targets_low: list[np.ndarray],
-        x_high: np.ndarray,
-        targets_high: list[np.ndarray],
-    ) -> tuple[list[GPR], list]:
-        """One (low GP, fused model) pair per target column."""
-        rng = self._rng_streams["gp"]
-        low_models: list[GPR] = []
-        fused_models: list = []
-        for t_low, t_high in zip(targets_low, targets_high):
-            low_gp = GPR(max_opt_iter=self.gp_max_opt_iter).fit(
-                x_low, t_low, n_restarts=self.n_restarts, rng=rng
-            )
-            low_models.append(low_gp)
-            if self.fusion == "nargp":
-                fused = NARGP(
-                    n_mc_samples=self.n_mc_samples,
-                    n_restarts=self.n_restarts,
-                    max_opt_iter=self.gp_max_opt_iter,
-                )
-            else:
-                fused = AR1(n_restarts=self.n_restarts)
-            fused.fit(
-                x_low, t_low, x_high, t_high, rng=rng, low_model=low_gp
-            )
-            fused_models.append(fused)
-        return low_models, fused_models
-
-    def _fit_objective_models(self) -> tuple[list[GPR], list]:
-        """EHVI path: objectives first, then one pair per constraint."""
+    def _fit(self) -> _Models:
+        """EHVI: one model pair per objective, then per constraint.
+        ParEGO: one pair per constraint, shared by every batch member,
+        in front of the scalarized objective's pair."""
+        if self._ref_point is None:
+            self._ref_point = self._infer_ref_point()
+        m = self.problem.n_objectives
+        z = self._rng_streams["mc"].standard_normal(self.n_mc_samples)
         x_low, f_low, c_low = self._moo_data(FIDELITY_LOW)
         x_high, f_high, c_high = self._moo_data(FIDELITY_HIGH)
-        targets_low = [f_low[:, i] for i in range(f_low.shape[1])] + [
-            c_low[:, i] for i in range(c_low.shape[1])
-        ]
-        targets_high = [f_high[:, i] for i in range(f_high.shape[1])] + [
-            c_high[:, i] for i in range(c_high.shape[1])
-        ]
-        return self._fit_pairs(x_low, targets_low, x_high, targets_high)
+        if self.acquisition == "ehvi":
+            low, fused = self._fit_pairs(
+                x_low, [*f_low.T, *c_low.T], x_high, [*f_high.T, *c_high.T]
+            )
+            z_ehvi = None
+            if m > 2:
+                z_ehvi = self._rng_streams["scalar"].standard_normal(
+                    (self.ehvi_mc_samples, m)
+                )
+            return _Models(low, fused, z, z_ehvi=z_ehvi)
+        constraints = self._fit_pairs(x_low, [*c_low.T], x_high, [*c_high.T])
+        return self._scalarized(_Models([], [], z, constraints=constraints))
 
-    def _make_scalarizer(self, weights: np.ndarray) -> ParEGOScalarizer:
-        observed = self._all_objectives()
-        observed = observed[np.all(np.isfinite(observed), axis=1)]
-        return ParEGOScalarizer(
+    def _scalarized(self, models: _Models) -> _Models:
+        """ParEGO: draw a weight vector and fit its scalarized target in
+        front of the shared constraint models."""
+        weights = draw_simplex_weights(
+            self.problem.n_objectives, self._rng_streams["scalar"]
+        )
+        observed = self._finite_objectives()
+        scalarizer = ParEGOScalarizer(
             weights,
             ideal=observed.min(axis=0),
             nadir=observed.max(axis=0),
             rho=self.rho,
         )
-
-    def _fit_constraint_models(self) -> tuple[list[GPR], list]:
-        """One (low GP, fused) pair per constraint; independent of the
-        ParEGO weight vector, so fit once per iteration and shared by
-        every batch member."""
-        x_low, _, c_low = self._moo_data(FIDELITY_LOW)
-        x_high, _, c_high = self._moo_data(FIDELITY_HIGH)
-        targets_low = [c_low[:, i] for i in range(c_low.shape[1])]
-        targets_high = [c_high[:, i] for i in range(c_high.shape[1])]
-        return self._fit_pairs(x_low, targets_low, x_high, targets_high)
-
-    def _fit_scalarized_models(
-        self,
-        scalarizer: ParEGOScalarizer,
-        constraint_pairs: tuple[list[GPR], list],
-    ) -> tuple[list[GPR], list]:
-        """ParEGO path: the scalarized target, then the shared
-        constraint models."""
         x_low, f_low, _ = self._moo_data(FIDELITY_LOW)
         x_high, f_high, _ = self._moo_data(FIDELITY_HIGH)
         obj_low, obj_fused = self._fit_pairs(
-            x_low, [scalarizer.scalarize(f_low)],
-            x_high, [scalarizer.scalarize(f_high)],
+            x_low,
+            [scalarizer.scalarize(f_low)],
+            x_high,
+            [scalarizer.scalarize(f_high)],
         )
-        con_low, con_fused = constraint_pairs
-        return obj_low + con_low, obj_fused + con_fused
+        con_low, con_fused = models.constraints
+        models.low, models.fused = obj_low + con_low, obj_fused + con_fused
+        models.scalarizer = scalarizer
+        return models
 
-    # ------------------------------------------------------------------
-    # acquisition assembly
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _gp_predictor(model: GPR) -> Predictor:
-        return lambda x: model.predict(x)
+    def _stages(self, models: _Models) -> list[Stage]:
+        low = [m.predict for m in models.low]
+        fused = [partial(m.predict, z=models.z) for m in models.fused]
+        if self.acquisition == "parego":
+            scalarizer = models.scalarizer
+            assert scalarizer is not None  # set by _scalarized
+            tau_low, incumbent_low = self._best_scalarized(scalarizer, FIDELITY_LOW)
+            tau_high, incumbent_high = self._best_scalarized(scalarizer, FIDELITY_HIGH)
+            low_acq = self._wei(low, tau_low)
+            high_acq = self._wei(fused, tau_high)
+        else:
+            x_low_front, f_low_front = self._fidelity_front(FIDELITY_LOW)
+            f_high_front = self.archive.front()
+            incumbent_low = self._front_incumbent(x_low_front, f_low_front)
+            incumbent_high = self._front_incumbent(
+                np.array([e.x_unit for e in self.archive.front_entries()]),
+                f_high_front,
+            )
+            low_acq = self._build_ehvi(
+                low, f_low_front, f_low_front.shape[0] > 0, models.z_ehvi
+            )
+            high_acq = self._build_ehvi(
+                fused,
+                np.vstack([f_high_front, *models.front]),
+                self.archive.has_feasible,
+                models.z_ehvi,
+            )
+        return [
+            (low_acq, incumbent_low, incumbent_high),
+            (high_acq, incumbent_low, incumbent_high),
+        ]
 
-    @staticmethod
-    def _fused_predictor(model: NARGP | AR1, z: np.ndarray) -> Predictor:
-        return lambda x: model.predict(x, z=z)
+    def _best_scalarized(
+        self, scalarizer: ParEGOScalarizer, fidelity: str
+    ) -> tuple[float | None, np.ndarray | None]:
+        """ParEGO ``(tau, x)``: the smallest scalarized feasible record."""
+        records = [r for r in self.history.records_at(fidelity) if r.feasible]
+        if not records:
+            return None, None
+        values = scalarizer.scalarize(
+            np.vstack([r.evaluation.objectives for r in records])
+        )
+        best = int(np.argmin(values))
+        return float(values[best]), records[best].x_unit
 
     def _build_ehvi(
         self,
@@ -387,253 +359,43 @@ class MOMFBOptimizer(StrategyBase):
             z=z_ehvi,
         )
 
-    def _build_wei(
-        self, predictors: list, tau: float | None, any_feasible: bool
-    ) -> WeightedEI | ViolationAcquisition:
-        objective_predictor = predictors[0]
-        constraint_predictors = predictors[1:]
-        if any_feasible or not constraint_predictors:
-            return WeightedEI(objective_predictor, constraint_predictors, tau)
-        return ViolationAcquisition(constraint_predictors)
-
-    # ------------------------------------------------------------------
-    # suggestion
-    # ------------------------------------------------------------------
-    def _propose_ehvi(
-        self,
-        low_models: list[GPR],
-        fused_models: list,
-        z_fused: np.ndarray,
-        z_ehvi: np.ndarray | None,
-        fantasy_front: list[np.ndarray],
-        avoid: list[np.ndarray],
-    ) -> tuple[np.ndarray, float]:
-        x_low_front, f_low_front = self._fidelity_front(FIDELITY_LOW)
-        x_high_front, f_high_front = (
-            self._archive_x_front(),
-            self.archive.front(),
-        )
-        if fantasy_front:
-            f_high_front = (
-                np.vstack([f_high_front, *fantasy_front])
-                if f_high_front.size
-                else np.vstack(fantasy_front)
-            )
-        incumbent_low = self._front_incumbent(x_low_front, f_low_front)
-        incumbent_high = self._front_incumbent(
-            x_high_front, self.archive.front()
-        )
-
-        low_predictors = [self._gp_predictor(m) for m in low_models]
-        low_acq = self._build_ehvi(
-            low_predictors, f_low_front, f_low_front.shape[0] > 0, z_ehvi
-        )
-        low_result = self.acq_optimizer.maximize(
-            low_acq,
-            incumbent_low=incumbent_low,
-            incumbent_high=incumbent_high,
-        )
-
-        fused_predictors = [
-            self._fused_predictor(m, z_fused) for m in fused_models
-        ]
-        high_acq = self._build_ehvi(
-            fused_predictors,
-            f_high_front,
-            self.archive.has_feasible,
-            z_ehvi,
-        )
-        high_result = self.acq_optimizer.maximize(
-            high_acq,
-            incumbent_low=incumbent_low,
-            incumbent_high=incumbent_high,
-            extra_starts=low_result.x,
-        )
-        return self._dedup(high_result.x, avoid=avoid), float(high_result.value)
-
-    def _archive_x_front(self) -> np.ndarray:
-        entries = self.archive.front_entries()
-        if not entries:
-            return np.empty((0, self.problem.dim))
-        return np.vstack([e.x_unit for e in entries])
-
-    def _propose_parego(
-        self,
-        scalarizer: ParEGOScalarizer,
-        low_models: list[GPR],
-        fused_models: list,
-        z_fused: np.ndarray,
-        avoid: list[np.ndarray],
-    ) -> tuple[np.ndarray, float]:
-        def best_scalarized(
-            fidelity: str,
-        ) -> tuple[float | None, np.ndarray | None]:
-            records = [
-                r
-                for r in self.history.records_at(fidelity)
-                if r.feasible
-            ]
-            if not records:
-                return None, None
-            values = scalarizer.scalarize(
-                np.vstack([r.evaluation.objectives for r in records])
-            )
-            best = int(np.argmin(values))
-            return float(values[best]), records[best].x_unit
-
-        tau_low, incumbent_low = best_scalarized(FIDELITY_LOW)
-        tau_high, incumbent_high = best_scalarized(FIDELITY_HIGH)
-
-        low_predictors = [self._gp_predictor(m) for m in low_models]
-        low_acq = self._build_wei(low_predictors, tau_low, tau_low is not None)
-        low_result = self.acq_optimizer.maximize(
-            low_acq,
-            incumbent_low=incumbent_low,
-            incumbent_high=incumbent_high,
-        )
-
-        fused_predictors = [
-            self._fused_predictor(m, z_fused) for m in fused_models
-        ]
-        high_acq = self._build_wei(
-            fused_predictors, tau_high, tau_high is not None
-        )
-        high_result = self.acq_optimizer.maximize(
-            high_acq,
-            incumbent_low=incumbent_low,
-            incumbent_high=incumbent_high,
-            extra_starts=low_result.x,
-        )
-        return self._dedup(high_result.x, avoid=avoid), float(high_result.value)
-
-    def _refill(self, k: int) -> None:
-        """One BO iteration producing up to ``k`` batch candidates."""
-        self._iteration += 1
-        if self._ref_point is None:
-            self._ref_point = self._infer_ref_point()
-        m = self.problem.n_objectives
-        z_fused = self._rng_streams["mc"].standard_normal(self.n_mc_samples)
-        z_ehvi = None
-        scalarizer = None
-        fit_start = time.perf_counter()
+    def _believe(
+        self, models: _Models, x: np.ndarray, fidelity: str, pending: bool
+    ) -> _Models:
+        """EHVI: constant liar, appending the fused posterior mean of
+        ``x`` to the working front so the next member targets another
+        part of it. ParEGO only avoids in-flight points; each later
+        batch member optimizes a freshly drawn scalarization instead."""
         if self.acquisition == "ehvi":
-            low_models, fused_models = self._fit_objective_models()
-            if m > 2:
-                z_ehvi = self._rng_streams["scalar"].standard_normal(
-                    (self.ehvi_mc_samples, m)
+            x2 = x[None, :]
+            models.front.append(
+                np.array(
+                    [
+                        float(model.predict_mean_path(x2)[0][0])
+                        for model in models.fused[: self.problem.n_objectives]
+                    ]
                 )
-        else:
-            weights = draw_simplex_weights(m, self._rng_streams["scalar"])
-            scalarizer = self._make_scalarizer(weights)
-            constraint_pairs = self._fit_constraint_models()
-            low_models, fused_models = self._fit_scalarized_models(
-                scalarizer, constraint_pairs
             )
-        fit_elapsed = time.perf_counter() - fit_start
-
-        propose_start = time.perf_counter()
-        chosen: list[str] = []
-        first_acq: float | None = None
-        projected = self.history.total_cost + self.pending_cost
-        avoid: list[np.ndarray] = []
-        fantasy_front: list[np.ndarray] = []
-        # In-flight suggestions (asynchronous evaluators): count their
-        # budget, avoid re-proposing them and — on the EHVI path — lie
-        # about their outcome with the fused posterior mean so the batch
-        # targets untouched parts of the front. Empty for synchronous
-        # drivers, keeping serial trajectories bit-identical. Observed
-        # results retract their pending entry, so the next refill swaps
-        # each fantasy for the real outcome.
-        for s in self._pending:
-            x_pending = np.asarray(s.x_unit, dtype=float).ravel()
-            avoid.append(x_pending)
-            if self.acquisition == "ehvi":
-                x2 = x_pending[None, :]
-                fantasy_front.append(
-                    np.array(
-                        [
-                            float(model.predict_mean_path(x2)[0][0])
-                            for model in fused_models[:m]
-                        ]
-                    )
-                )
-        for j in range(k):
-            if j > 0 and self.acquisition == "parego":
-                # Classic ParEGO batching: each member optimizes its own
-                # scalarization direction (constraint models are shared).
-                weights = draw_simplex_weights(
-                    m, self._rng_streams["scalar"]
-                )
-                scalarizer = self._make_scalarizer(weights)
-                low_models, fused_models = self._fit_scalarized_models(
-                    scalarizer, constraint_pairs
-                )
-            if self.acquisition == "ehvi":
-                x_next, acq_value = self._propose_ehvi(
-                    low_models, fused_models, z_fused, z_ehvi,
-                    fantasy_front, avoid,
-                )
-            else:
-                x_next, acq_value = self._propose_parego(
-                    scalarizer, low_models, fused_models, z_fused, avoid
-                )
-            if first_acq is None:
-                first_acq = acq_value
-
-            fidelity = self.selector.select(x_next, low_models)
-            remaining = self.budget - projected
-            if self.problem.cost(fidelity) > remaining + 1e-9:
-                if self.problem.cost(FIDELITY_LOW) <= remaining + 1e-9:
-                    fidelity = FIDELITY_LOW
-                else:
-                    self._stopped = True
-                    break
-            self._queue.append(Suggestion(x_next, fidelity))
-            chosen.append(fidelity)
-            avoid.append(x_next)
-            projected += self.problem.cost(fidelity)
-            if j < k - 1 and self.acquisition == "ehvi":
-                # Constant liar: believe the fused posterior mean of the
-                # picked point so the next member targets a different
-                # part of the front.
-                x2 = x_next[None, :]
-                fantasy_front.append(
-                    np.array(
-                        [
-                            float(model.predict_mean_path(x2)[0][0])
-                            for model in fused_models[:m]
-                        ]
-                    )
-                )
-        self._emit_telemetry(
-            "iteration",
-            fit_s=fit_elapsed,
-            propose_s=time.perf_counter() - propose_start,
-            fidelity=chosen[0] if chosen else None,
-            n_suggested=len(chosen),
-            acq=first_acq,
-            budget_spent=float(projected),
-        )
-
-    def _done(self) -> bool:
-        return (
-            self.history.total_cost >= self.budget - 1e-9
-            or self._iteration >= self.max_iterations
-        )
+            return models
+        return models if pending else self._scalarized(models)
 
     # ------------------------------------------------------------------
     # observation / archive maintenance
     # ------------------------------------------------------------------
     def _after_observe(self, record: Record) -> None:
-        evaluation = record.evaluation
+        self._archive_add(self.archive, record)
+        super()._after_observe(record)
+
+    def _archive_add(self, archive: ParetoArchive, record: Record) -> None:
+        """Add a high-fidelity record to ``archive``; ignore the rest."""
         if record.fidelity == self.problem.highest_fidelity:
-            self.archive.add(
+            evaluation = record.evaluation
+            archive.add(
                 record.x_unit,
                 evaluation.objectives,
                 evaluation.total_violation,
                 evaluation.metrics,
             )
-        super()._after_observe(record)
 
     # ------------------------------------------------------------------
     # reporting
@@ -656,17 +418,9 @@ class MOMFBOptimizer(StrategyBase):
         rows, cost = [], 0.0
         for record in self.history.records:
             cost += record.evaluation.cost
-            if record.fidelity != self.problem.highest_fidelity:
-                continue
-            evaluation = record.evaluation
-            archive.add(
-                record.x_unit,
-                evaluation.objectives,
-                evaluation.total_violation,
-            )
-            rows.append(
-                (cost, hypervolume(archive.front(), self._ref_point))
-            )
+            if record.fidelity == self.problem.highest_fidelity:
+                self._archive_add(archive, record)
+                rows.append((cost, hypervolume(archive.front(), self._ref_point)))
         return np.array(rows) if rows else np.empty((0, 2))
 
     def pareto_summary(self) -> list[dict]:
@@ -687,22 +441,11 @@ class MOMFBOptimizer(StrategyBase):
     # ------------------------------------------------------------------
     def config_dict(self) -> dict:
         return {
-            "budget": self.budget,
-            "n_init_low": self.n_init_low,
-            "n_init_high": self.n_init_high,
+            **super().config_dict(),
             "acquisition": self.acquisition,
             "ref_point": self.ref_point_config,
-            "gamma": self.selector.gamma,
-            "n_mc_samples": self.n_mc_samples,
             "ehvi_mc_samples": self.ehvi_mc_samples,
             "rho": self.rho,
-            "n_restarts": self.n_restarts,
-            "msp_starts": self.msp_starts,
-            "msp_polish": self.msp_polish,
-            "ball_stddev": self.ball_stddev,
-            "fusion": self.fusion,
-            "gp_max_opt_iter": self.gp_max_opt_iter,
-            "max_iterations": self.max_iterations,
         }
 
     def _extra_state(self) -> dict:
@@ -720,15 +463,6 @@ class MOMFBOptimizer(StrategyBase):
         self._ref_point = (
             None if ref is None else np.asarray(ref, dtype=float)
         )
-        archive = ParetoArchive(self.problem.n_objectives)
+        self.archive = ParetoArchive(self.problem.n_objectives)
         for record in self.history.records:
-            if record.fidelity != self.problem.highest_fidelity:
-                continue
-            evaluation = record.evaluation
-            archive.add(
-                record.x_unit,
-                evaluation.objectives,
-                evaluation.total_violation,
-                evaluation.metrics,
-            )
-        self.archive = archive
+            self._archive_add(self.archive, record)

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.history import History
+from ..core.loop import fit_pairs
 from ..gp.gpr import GPR
 from ..mf.nargp import NARGP
 from ..obs import MetricsRegistry
@@ -83,36 +84,33 @@ class SurrogatePosterior:
         low_f, high_f = problem.lowest_fidelity, problem.highest_fidelity
         n_low = history.n_evaluations(low_f)
         n_high = history.n_evaluations(high_f)
-        self._models: list[GPR | NARGP] = []
         self.fused = bool(
             low_f != high_f and n_low >= 2 and n_high >= 2
         )
         if self.fused:
             x_low, y_low, c_low = history.data(low_f)
             x_high, y_high, c_high = history.data(high_f)
-            lows = [y_low] + [c_low[:, i] for i in range(c_low.shape[1])]
-            highs = [y_high] + [c_high[:, i] for i in range(c_high.shape[1])]
-            for t_low, t_high in zip(lows, highs):
-                low_gp = GPR(max_opt_iter=max_opt_iter).fit(
-                    x_low, t_low, n_restarts=n_restarts, rng=rng
-                )
-                fused = NARGP(
+            _, self._models = fit_pairs(
+                x_low,
+                [y_low, *c_low.T],
+                x_high,
+                [y_high, *c_high.T],
+                rng=rng,
+                n_restarts=n_restarts,
+                max_opt_iter=max_opt_iter,
+                make_fused=lambda: NARGP(
                     n_restarts=n_restarts, max_opt_iter=max_opt_iter
-                )
-                fused.fit(
-                    x_low, t_low, x_high, t_high, rng=rng, low_model=low_gp
-                )
-                self._models.append(fused)
+                ),
+            )
         else:
             fidelity = high_f if n_high >= 2 else low_f
             x, y, c = history.data(fidelity)
-            targets = [y] + [c[:, i] for i in range(c.shape[1])]
-            for t in targets:
-                self._models.append(
-                    GPR(max_opt_iter=max_opt_iter).fit(
-                        x, t, n_restarts=n_restarts, rng=rng
-                    )
+            self._models = [
+                GPR(max_opt_iter=max_opt_iter).fit(
+                    x, t, n_restarts=n_restarts, rng=rng
                 )
+                for t in [y, *c.T]
+            ]
 
     @property
     def n_outputs(self) -> int:

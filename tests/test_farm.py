@@ -16,10 +16,14 @@ import numpy as np
 import pytest
 
 from repro import (
+    GASPAD,
+    WEIBO,
     AsyncEvaluator,
     CheckpointError,
+    DEOptimizer,
     FailedEvaluation,
     MFBOptimizer,
+    MOMFBOptimizer,
     OptimizationSession,
     RandomSearchOptimizer,
     SerialEvaluator,
@@ -29,6 +33,7 @@ from repro.problems import (
     FIDELITY_LOW,
     Evaluation,
     ForresterProblem,
+    GardnerProblem,
     LatencyProblem,
     ZDT1Problem,
 )
@@ -338,6 +343,93 @@ class TestPendingCheckpoint:
         )
         strategy.suggest(3)
         assert strategy.pending_cost > 0.0
+
+
+class TestInFlightInitialDesign:
+    """Refills wait while a fidelity has no observation yet.
+
+    With three (MF-BO) or four (MO-MFBO) suggestions in flight, the queue
+    drains while every high-fidelity initial point is still pending.
+    """
+
+    def test_mfbo_waits_for_a_high_fidelity_observation(self, drive_fifo):
+        strategy = MFBOptimizer(
+            GardnerProblem(), budget=7.0, n_init_low=6, n_init_high=2,
+            seed=0, **FAST,
+        )
+        drive_fifo(strategy, 3)
+        assert strategy.is_done
+        assert strategy.history.n_evaluations(FIDELITY_HIGH) >= 2
+        assert strategy.history.total_cost <= 7.0 + 1e-9
+
+    def test_momfbo_waits_for_a_high_fidelity_observation(self, drive_fifo):
+        strategy = MOMFBOptimizer(
+            ZDT1Problem(), budget=5.0, n_init_low=6, n_init_high=3, seed=7,
+            ehvi_mc_samples=6, **FAST,
+        )
+        drive_fifo(strategy, 4)
+        assert strategy.is_done
+        assert strategy.history.n_evaluations(FIDELITY_HIGH) >= 3
+        assert strategy.history.total_cost <= 5.0 + 1e-9
+
+    def test_waiting_refill_draws_nothing(self):
+        strategy = MFBOptimizer(
+            GardnerProblem(), budget=7.0, n_init_low=2, n_init_high=1,
+            seed=0, **FAST,
+        )
+        design = strategy.suggest(3)
+        problem = strategy.problem
+        for s in design[:2]:
+            strategy.observe(
+                s.x_unit, s.fidelity, problem.evaluate_unit(s.x_unit, s.fidelity)
+            )
+        rng_before = strategy.state_dict()["rng"]
+        assert strategy.suggest(1) == []
+        assert strategy.state_dict()["rng"] == rng_before
+        assert strategy.state_dict()["iteration"] == 0
+        assert len(strategy.pending) == 1
+
+
+def _budgeted_strategies():
+    """One small instance of every strategy; Forrester's high-fidelity
+    cost is 1, so every budget reads as equivalent cost."""
+    return {
+        "mfbo": MFBOptimizer(
+            GardnerProblem(), budget=7.0, n_init_low=6, n_init_high=2,
+            seed=0, **FAST,
+        ),
+        "momfbo": MOMFBOptimizer(
+            ZDT1Problem(), budget=5.0, n_init_low=6, n_init_high=2, seed=7,
+            ehvi_mc_samples=6, **FAST,
+        ),
+        "weibo": WEIBO(
+            ForresterProblem(), budget=9, n_init=5, seed=0,
+            msp_starts=20, msp_polish=0, n_restarts=1,
+        ),
+        "gaspad": GASPAD(
+            ForresterProblem(), budget=10, n_init=6, pop_size=4, seed=0,
+        ),
+        "de": DEOptimizer(ForresterProblem(), budget=18, pop_size=5, seed=0),
+        "random_search": RandomSearchOptimizer(
+            ForresterProblem(), budget=12, n_init=4, seed=0,
+        ),
+    }
+
+
+class TestAsyncBudget:
+    """In-flight suggestions count against the budget of every strategy."""
+
+    @pytest.mark.parametrize("batch_size", [2, 3])
+    @pytest.mark.parametrize("name", sorted(_budgeted_strategies()))
+    def test_cost_stays_within_budget_under_run_async(self, name, batch_size):
+        strategy = _budgeted_strategies()[name]
+        with OptimizationSession(
+            strategy, evaluator=AsyncEvaluator(max_workers=2),
+            own_evaluator=True,
+        ) as session:
+            session.run_async(batch_size=batch_size)
+        assert strategy.is_done
+        assert strategy.history.total_cost <= strategy.budget + 1e-9
 
 
 # ----------------------------------------------------------------------

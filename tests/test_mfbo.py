@@ -155,7 +155,11 @@ class TestConfiguration:
             ForresterProblem(), budget=5.0, n_init_low=4, n_init_high=2,
             seed=0, **FAST,
         )
-        optimizer._initialize()
+        for x_unit, fidelity in optimizer.suggest(6):
+            optimizer.observe(
+                x_unit, fidelity,
+                optimizer.problem.evaluate_unit(x_unit, fidelity),
+            )
         existing = optimizer.history.records[0].x_unit
         nudged = optimizer._dedup(existing.copy())
         assert not np.array_equal(nudged, existing)
