@@ -246,8 +246,8 @@ class MOMFBOptimizer(BOLoop):
     # ------------------------------------------------------------------
     def _fit(self) -> _Models:
         """EHVI: one model pair per objective, then per constraint.
-        ParEGO: one pair per constraint, shared by every batch member,
-        in front of the scalarized objective's pair."""
+        ParEGO: the scalarized objective's pair, then one pair per
+        constraint, shared by every batch member."""
         if self._ref_point is None:
             self._ref_point = self._infer_ref_point()
         m = self.problem.n_objectives

@@ -10,12 +10,12 @@ import inspect
 import pytest
 
 from repro import (
-    DEOptimizer,
     GASPAD,
+    WEIBO,
+    DEOptimizer,
     MFBOptimizer,
     MOMFBOptimizer,
     RandomSearchOptimizer,
-    WEIBO,
 )
 from repro.problems import ForresterProblem, ZDT1Problem
 
