@@ -10,7 +10,7 @@ import pytest
 
 from repro.acquisition import WeightedEI
 from repro.circuits.power_amplifier import simulate_pa
-from repro.gp import GPR
+from repro.gp import GPR, nargp_kernel
 from repro.mf import NARGP
 from repro.problems import (
     FIDELITY_HIGH,
@@ -145,6 +145,46 @@ def test_wei_fused_polish_shape(benchmark, polish_shape):
     values = benchmark(acq, x)
     assert values.shape == (6,)
     assert np.all(np.isfinite(values))
+
+
+@pytest.fixture(scope="module")
+def nlml_shape():
+    """Training set of one served op-amp hyperparameter search.
+
+    The op-amp fits its GPs on about 20 points in d = 5; L-BFGS-B calls
+    the negative log marginal likelihood (paper eq. 3) and its gradient
+    ~12.6k times per run, so one call's dispatch, not its arithmetic,
+    sets the cost of ``gp.fit``. The fused NARGP model (eq. 9) sees the
+    low-fidelity output as a sixth column.
+    """
+    rng = np.random.default_rng(12)
+    x = rng.random((20, 5))
+    f_low = np.sin(x @ rng.standard_normal(5))
+    y = 1.5 * f_low + 0.2 * (x @ rng.standard_normal(5)) ** 2
+    return x, f_low, y
+
+
+def _nlml_call(benchmark, model):
+    theta = model._full_theta() + 0.1
+    value, grad = benchmark(model._nlml_and_grad, theta)
+    assert np.isfinite(value) and value < 1e25
+    assert grad.shape == theta.shape and np.all(np.isfinite(grad))
+
+
+def test_gpr_nlml_rbf_opamp_shape(benchmark, nlml_shape):
+    """One NLML-plus-gradient call of the low-fidelity ARD RBF GP."""
+    x, f_low, _ = nlml_shape
+    _nlml_call(benchmark, GPR().fit(x, f_low, optimize=False))
+
+
+def test_gpr_nlml_eq9_opamp_shape(benchmark, nlml_shape):
+    """One NLML-plus-gradient call of the fused high-fidelity GP, whose
+    kernel is eq. 9's k1(f, f') * k2(x, x') + k3(x, x') over d + 1 columns."""
+    x, f_low, y = nlml_shape
+    model = GPR(kernel=nargp_kernel(5)).fit(
+        np.column_stack([x, f_low]), y, optimize=False
+    )
+    _nlml_call(benchmark, model)
 
 
 def test_transient_rc_1000_steps(benchmark):

@@ -12,6 +12,7 @@ problems; predictions are mapped back to the original scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .means import MeanFunction, ZeroMean
 __all__ = ["GPR", "TrainResult"]
 
 _LOG_NOISE_BOUNDS = (np.log(1e-8), np.log(1.0))
+_LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -87,15 +89,15 @@ class GPR:
         normalize_y: bool = True,
         max_opt_iter: int = 100,
     ) -> None:
-        if noise_variance <= 0:
-            raise ValueError("noise_variance must be positive")
+        if not 0.0 < noise_variance < math.inf:
+            raise ValueError("noise_variance must be positive and finite")
         if max_opt_iter < 1:
             raise ValueError("max_opt_iter must be >= 1")
         self.max_opt_iter = int(max_opt_iter)
         self.kernel = kernel
         self.mean = mean if mean is not None else ZeroMean()
         self.normalize_y = bool(normalize_y)
-        self._log_noise = float(np.log(noise_variance))
+        self._set_log_noise(float(np.log(noise_variance)))
         self._noise_bounds = (
             tuple(noise_bounds) if noise_bounds is not None else _LOG_NOISE_BOUNDS
         )
@@ -117,7 +119,13 @@ class GPR:
     @property
     def noise_variance(self) -> float:
         """Observation-noise variance in standardized-target units."""
-        return float(np.exp(self._log_noise))
+        return self._noise_variance
+
+    def _set_log_noise(self, log_noise: float) -> None:
+        """Store the log noise variance and derive the variance once per
+        write; the likelihood and every prediction read it."""
+        self._log_noise = log_noise
+        self._noise_variance = float(np.exp(log_noise))
 
     @property
     def x_train(self) -> np.ndarray:
@@ -182,7 +190,7 @@ class GPR:
     def _set_full_theta(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=float).ravel()
         self.kernel.theta = theta[:-1]
-        self._log_noise = float(theta[-1])
+        self._set_log_noise(float(theta[-1]))
 
     def _full_bounds(self) -> list[tuple[float, float]]:
         return self.kernel.bounds + [self._noise_bounds]
@@ -190,41 +198,42 @@ class GPR:
     def _nlml_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Negative log marginal likelihood (eq. 3) and its gradient.
 
-        One Cholesky factorization serves the likelihood value and every
-        gradient term; the theta-independent kernel workspace is shared
-        across all calls of one L-BFGS-B run.
+        One kernel pass yields ``K`` and the trace contraction over the
+        same factor matrices, and one Cholesky factorization serves the
+        likelihood value and every gradient term; the theta-independent
+        kernel workspace is shared across all calls of one L-BFGS-B run.
         """
         self._set_full_theta(theta)
-        x, y = self._x_train, self._y_train
-        n = x.shape[0]
-        workspace = self._get_workspace()
-        k_noise_free = self.kernel(x, workspace=workspace)
-        k = k_noise_free + self.noise_variance * self._eye
+        y = self._y_train
+        k_noise_free, traces = self.kernel.value_and_traces(
+            self._x_train, self._get_workspace()
+        )
         try:
-            lower, _ = jitter_cholesky(k)
+            lower, _ = jitter_cholesky(k_noise_free + self.noise_variance * self._eye)
         except CholeskyError:
             return 1e25, np.zeros_like(theta)
         alpha = cho_solve(lower, y)
         nlml = 0.5 * (
-            float(y @ alpha) + log_det_from_chol(lower) + n * np.log(2.0 * np.pi)
+            float(y @ alpha) + log_det_from_chol(lower) + y.size * _LOG_2PI
         )
-        if not np.isfinite(nlml):
+        if not math.isfinite(nlml):
             return 1e25, np.zeros_like(theta)
-        # dNLML/dtheta_j = 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta_j),
-        # with K^-1 = L^-T L^-1 assembled from one triangular solve and the
-        # trace contracted kernel-side without materializing dK stacks.
+        # dNLML/dtheta_j = 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta_j)
+        # (Rasmussen & Williams 2006, eq. 5.9), with K^-1 = L^-T L^-1
+        # assembled from one triangular solve and the trace contracted
+        # kernel-side without materializing dK stacks.
         lower_inv = solve_lower(lower, self._eye)
-        inner = lower_inv.T @ lower_inv - np.outer(alpha, alpha)
+        inner = lower_inv.T @ lower_inv - alpha[:, None] * alpha
         grad = np.empty(theta.size)
-        grad[:-1] = 0.5 * self.kernel.gradient_traces(
-            x, inner, workspace=workspace, k=k_noise_free
-        )
+        grad[:-1] = 0.5 * traces(inner)
         # noise term: dK/d log(sigma_n^2) = sigma_n^2 * I
-        grad[-1] = 0.5 * self.noise_variance * float(np.trace(inner))
+        grad[-1] = 0.5 * self.noise_variance * float(inner.trace())
         return nlml, grad
 
     def nlml(self) -> float:
         """Negative log marginal likelihood at the current hyperparameters."""
+        if self._x_train is None:
+            raise RuntimeError("model has not been fit")
         value, _ = self._nlml_and_grad(self._full_theta())
         return value
 
@@ -476,12 +485,12 @@ class GPR:
         if include_noise:
             var = var + self.noise_variance
         var = np.maximum(var, 1e-12)
-        if x_star is None:
-            if not isinstance(self.mean, ZeroMean):
-                raise ValueError(
-                    "x_star is required when the prior mean is not zero"
-                )
+        if isinstance(self.mean, ZeroMean):
+            # Adding the scalar zero mean keeps what adding the zeros
+            # array did: -0.0 becomes +0.0.
             mean_term = 0.0
+        elif x_star is None:
+            raise ValueError("x_star is required when the prior mean is not zero")
         else:
             mean_term = self.mean(x_star)
         mu = mu * self._y_scale + self._y_shift + mean_term

@@ -13,7 +13,7 @@ paper (eq. 9) is assembled, see :func:`nargp_kernel`.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -48,6 +48,21 @@ def _bounds_pair(
     return (float(low), float(high))
 
 
+def _positive_finite(value) -> bool:
+    """Whether every entry of ``value`` lies in ``(0, inf)``; NaN fails."""
+    value = np.asarray(value, dtype=float)
+    return bool(np.all((value > 0.0) & (value < np.inf)))
+
+
+def _sq_traces(
+    weight: np.ndarray, sq_diffs: np.ndarray, inv_sq_lengthscales: np.ndarray
+) -> np.ndarray:
+    """``sum_ab weight[a,b] * sq_diffs[a,b,i] / l_i^2`` per dimension,
+    as one ``(n^2,) @ (n^2, d)`` mat-vec."""
+    n2 = weight.size
+    return (weight.reshape(n2) @ sq_diffs.reshape(n2, -1)) * inv_sq_lengthscales
+
+
 def _as_2d(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -60,9 +75,9 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
 class Kernel:
     """Base class for covariance functions.
 
-    Subclasses implement :meth:`__call__`, :meth:`diag` and
-    :meth:`gradients`; hyperparameter plumbing (``theta``, ``bounds``,
-    ``param_names``) is shared here.
+    Subclasses implement :meth:`__call__`, :meth:`diag`,
+    :meth:`gradients` and :meth:`value_and_traces`; hyperparameter
+    plumbing (``theta``, ``bounds``, ``param_names``) is shared here.
 
     Workspaces
     ----------
@@ -71,9 +86,10 @@ class Kernel:
     the hundreds of objective/gradient calls an L-BFGS-B hyperparameter
     search makes on one fixed training set. :meth:`make_workspace`
     precomputes those tensors once; passing the returned workspace to
-    :meth:`__call__` / :meth:`gradients` skips the recomputation. A
-    workspace is only valid for the exact ``x`` it was built from (and
-    ``x2 is None``); it stays valid across ``theta`` updates.
+    :meth:`__call__` / :meth:`gradients` / :meth:`value_and_traces` skips
+    the recomputation. A workspace is only valid for the exact ``x`` it
+    was built from (and ``x2 is None``); it stays valid across ``theta``
+    updates.
     """
 
     def __call__(
@@ -107,34 +123,41 @@ class Kernel:
         self._build_workspace(x, workspace)
         return workspace
 
-    def gradient_traces(
-        self,
-        x: np.ndarray,
-        inner: np.ndarray,
-        workspace: dict | None = None,
-        k: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """``sum_ab inner[a,b] * dK(x,x)/dtheta_j[a,b]`` for every ``j``.
+    def value_and_traces(
+        self, x: np.ndarray, workspace: dict | None = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """``K(x, x)`` and a function that contracts a weight matrix
+        against ``dK(x, x) / d theta``, from one kernel evaluation.
 
-        This is the only quantity the marginal-likelihood gradient needs
-        (``inner = K^-1 - alpha alpha^T``); computing it directly avoids
-        materializing the full ``(n_params, n, n)`` gradient stack.
-        Subclasses override with closed forms that reduce to one
-        ``(n^2, d)`` mat-vec per kernel; this fallback contracts the
-        generic gradient stack.
+        The returned ``traces(inner)`` gives
+        ``sum_ab inner[a,b] * dK(x,x)/dtheta_j[a,b]`` for every ``j``.
+        That is the only quantity the marginal-likelihood gradient needs
+        (``inner = K^-1 - alpha alpha^T``); contracting it directly avoids
+        materializing the ``(n_params, n, n)`` gradient stack, and
+        ``traces`` reuses the factor matrices this pass computed instead
+        of evaluating them again. It belongs to the ``theta`` of the pass.
 
         Parameters
         ----------
         x, workspace:
             As in :meth:`gradients`.
-        inner:
-            Symmetric ``(n, n)`` weight matrix.
-        k:
-            Optional precomputed noise-free ``K(x, x)`` of **this** kernel
-            (as returned by ``self(x)``), reused to skip re-exponentiation.
         """
-        grads = self.gradients(x, workspace)
-        return np.tensordot(grads, inner, axes=([1, 2], [0, 1]))
+        raise NotImplementedError
+
+    def gradient_traces(
+        self,
+        x: np.ndarray,
+        inner: np.ndarray,
+        workspace: dict | None = None,
+    ) -> np.ndarray:
+        """``sum_ab inner[a,b] * dK(x,x)/dtheta_j[a,b]`` for every ``j``,
+        for a symmetric ``(n, n)`` weight matrix ``inner``; see
+        :meth:`value_and_traces`."""
+        return self.value_and_traces(x, workspace)[1](inner)
+
+    def _leaves(self) -> list["Kernel"]:
+        """The leaf kernels of this tree, in ``theta`` order."""
+        return [self]
 
     def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
         """Populate ``workspace`` (keyed by kernel node) for this subtree."""
@@ -205,8 +228,8 @@ class ConstantKernel(_ActiveDimsMixin, Kernel):
     def __init__(
         self, variance: float = 1.0, bounds: Sequence[float] | None = None
     ) -> None:
-        if variance <= 0:
-            raise ValueError("variance must be positive")
+        if not _positive_finite(variance):
+            raise ValueError("variance must be positive and finite")
         self._log_variance = float(np.log(variance))
         self._bounds = [_bounds_pair(bounds, _LOG_VARIANCE_BOUNDS)]
         self._init_active_dims(None)
@@ -234,14 +257,11 @@ class ConstantKernel(_ActiveDimsMixin, Kernel):
         n = _as_2d(x).shape[0]
         return np.full((1, n, n), self.variance)
 
-    def gradient_traces(
-        self,
-        x: np.ndarray,
-        inner: np.ndarray,
-        workspace: dict | None = None,
-        k: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return np.array([self.variance * float(np.sum(inner))])
+    def value_and_traces(
+        self, x: np.ndarray, workspace: dict | None = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        variance = self.variance
+        return self(x), lambda inner: np.array([variance * float(inner.sum())])
 
     @property
     def theta(self) -> np.ndarray:
@@ -274,8 +294,8 @@ class WhiteKernel(_ActiveDimsMixin, Kernel):
     def __init__(
         self, variance: float = 1.0, bounds: Sequence[float] | None = None
     ) -> None:
-        if variance <= 0:
-            raise ValueError("variance must be positive")
+        if not _positive_finite(variance):
+            raise ValueError("variance must be positive and finite")
         self._log_variance = float(np.log(variance))
         self._bounds = [_bounds_pair(bounds, _LOG_VARIANCE_BOUNDS)]
         self._init_active_dims(None)
@@ -305,14 +325,13 @@ class WhiteKernel(_ActiveDimsMixin, Kernel):
         n = _as_2d(x).shape[0]
         return self.variance * np.eye(n)[None, :, :]
 
-    def gradient_traces(
-        self,
-        x: np.ndarray,
-        inner: np.ndarray,
-        workspace: dict | None = None,
-        k: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return np.array([self.variance * float(np.trace(inner))])
+    def value_and_traces(
+        self, x: np.ndarray, workspace: dict | None = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        variance = self.variance
+        return self(x), lambda inner: np.array(
+            [variance * float(inner.trace())]
+        )
 
     @property
     def theta(self) -> np.ndarray:
@@ -358,8 +377,10 @@ class _Stationary(_ActiveDimsMixin, Kernel):
             raise ValueError("input_dim must be >= 1")
         self.input_dim = int(input_dim)
         scales = np.asarray(lengthscales, dtype=float) * np.ones(input_dim)
-        if np.any(scales <= 0) or variance <= 0:
-            raise ValueError("variance and lengthscales must be positive")
+        if not (_positive_finite(variance) and _positive_finite(scales)):
+            raise ValueError(
+                "variance and lengthscales must be positive and finite"
+            )
         self._set_log_params(float(np.log(variance)), np.log(scales))
         vb = _bounds_pair(variance_bounds, _LOG_VARIANCE_BOUNDS)
         lb = _bounds_pair(lengthscale_bounds, _LOG_LENGTHSCALE_BOUNDS)
@@ -425,16 +446,6 @@ class _Stationary(_ActiveDimsMixin, Kernel):
     def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
         workspace[self] = self._sq_diffs(x)
 
-    def _weighted_sq_traces(
-        self, weight: np.ndarray, sq_diffs: np.ndarray
-    ) -> np.ndarray:
-        """``sum_ab weight[a,b] * sq_diffs[a,b,i] / l_i^2`` per dimension,
-        as one ``(n^2,) @ (n^2, d)`` mat-vec."""
-        n2 = weight.size
-        return (weight.reshape(n2) @ sq_diffs.reshape(n2, -1)) * (
-            self._inv_sq_lengthscales
-        )
-
     def diag(self, x: np.ndarray) -> np.ndarray:
         return np.full(_as_2d(x).shape[0], self.variance)
 
@@ -497,21 +508,22 @@ class RBF(_Stationary):
         grads[1:] = k[None, :, :] * np.moveaxis(sq_per_dim, 2, 0)  # d/d log(l_i)
         return grads
 
-    def gradient_traces(
-        self,
-        x: np.ndarray,
-        inner: np.ndarray,
-        workspace: dict | None = None,
-        k: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def value_and_traces(
+        self, x: np.ndarray, workspace: dict | None = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         sq_diffs = self._sq_diffs(x, None, workspace)
-        if k is None:
-            k = self._from_sq_diffs(sq_diffs)
-        w = inner * k
-        out = np.empty(self.n_params)
-        out[0] = np.sum(w)
-        out[1:] = self._weighted_sq_traces(w, sq_diffs)
-        return out
+        k = self._from_sq_diffs(sq_diffs)
+        inv_sq = self._inv_sq_lengthscales
+
+        def traces(inner: np.ndarray) -> np.ndarray:
+            # dK/d log(variance) = K, dK/d log(l_i) = K * sq_diffs_i / l_i^2.
+            w = inner * k
+            out = np.empty(1 + inv_sq.size)
+            out[0] = w.sum()
+            out[1:] = _sq_traces(w, sq_diffs, inv_sq)
+            return out
+
+        return k, traces
 
 
 class Matern32(_Stationary):
@@ -542,26 +554,23 @@ class Matern32(_Stationary):
         grads[1:] = base[None, :, :] * np.moveaxis(sq_per_dim, 2, 0)
         return grads
 
-    def gradient_traces(
-        self,
-        x: np.ndarray,
-        inner: np.ndarray,
-        workspace: dict | None = None,
-        k: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def value_and_traces(
+        self, x: np.ndarray, workspace: dict | None = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         sq_diffs = self._sq_diffs(x, None, workspace)
-        r = np.sqrt(sq_diffs @ self._inv_sq_lengthscales)
-        poly = 1.0 + _SQRT3 * r
-        if k is None:
-            expart = np.exp(-_SQRT3 * r)
-            k = self.variance * poly * expart
-        else:
-            expart = k / (self.variance * poly)
-        out = np.empty(self.n_params)
-        out[0] = np.sum(inner * k)
-        w = inner * (3.0 * self.variance * expart)
-        out[1:] = self._weighted_sq_traces(w, sq_diffs)
-        return out
+        inv_sq = self._inv_sq_lengthscales
+        r = np.sqrt(sq_diffs @ inv_sq)
+        expart = np.exp(-_SQRT3 * r)
+        k = self.variance * (1.0 + _SQRT3 * r) * expart
+        weight = 3.0 * self.variance * expart
+
+        def traces(inner: np.ndarray) -> np.ndarray:
+            out = np.empty(1 + inv_sq.size)
+            out[0] = (inner * k).sum()
+            out[1:] = _sq_traces(inner * weight, sq_diffs, inv_sq)
+            return out
+
+        return k, traces
 
 
 class Matern52(_Stationary):
@@ -596,26 +605,23 @@ class Matern52(_Stationary):
         grads[1:] = base[None, :, :] * np.moveaxis(sq_per_dim, 2, 0)
         return grads
 
-    def gradient_traces(
-        self,
-        x: np.ndarray,
-        inner: np.ndarray,
-        workspace: dict | None = None,
-        k: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def value_and_traces(
+        self, x: np.ndarray, workspace: dict | None = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
         sq_diffs = self._sq_diffs(x, None, workspace)
-        r = np.sqrt(sq_diffs @ self._inv_sq_lengthscales)
-        poly = 1.0 + _SQRT5 * r + (5.0 / 3.0) * r * r
-        if k is None:
-            expart = np.exp(-_SQRT5 * r)
-            k = self.variance * poly * expart
-        else:
-            expart = k / (self.variance * poly)
-        out = np.empty(self.n_params)
-        out[0] = np.sum(inner * k)
-        w = inner * ((5.0 / 3.0) * self.variance * (1.0 + _SQRT5 * r) * expart)
-        out[1:] = self._weighted_sq_traces(w, sq_diffs)
-        return out
+        inv_sq = self._inv_sq_lengthscales
+        r = np.sqrt(sq_diffs @ inv_sq)
+        expart = np.exp(-_SQRT5 * r)
+        k = self.variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r * r) * expart
+        weight = (5.0 / 3.0) * self.variance * (1.0 + _SQRT5 * r) * expart
+
+        def traces(inner: np.ndarray) -> np.ndarray:
+            out = np.empty(1 + inv_sq.size)
+            out[0] = (inner * k).sum()
+            out[1:] = _sq_traces(inner * weight, sq_diffs, inv_sq)
+            return out
+
+        return k, traces
 
 
 class _Combination(Kernel):
@@ -624,6 +630,18 @@ class _Combination(Kernel):
     def __init__(self, left: Kernel, right: Kernel) -> None:
         self.left = left
         self.right = right
+        # A theta write goes straight to each leaf through this plan of
+        # (leaf, start, stop) slices, built once: sizing each subtree on
+        # every write would re-concatenate its theta.
+        plan, start = [], 0
+        for leaf in left._leaves() + right._leaves():
+            plan.append((leaf, start, start + leaf.n_params))
+            start += leaf.n_params
+        self._theta_plan = plan
+        self._n_params = start
+
+    def _leaves(self) -> list[Kernel]:
+        return [leaf for leaf, _, _ in self._theta_plan]
 
     @property
     def theta(self) -> np.ndarray:
@@ -632,11 +650,10 @@ class _Combination(Kernel):
     @theta.setter
     def theta(self, value: np.ndarray) -> None:
         value = np.asarray(value, dtype=float).ravel()
-        n_left = self.left.n_params
-        if value.size != n_left + self.right.n_params:
+        if value.size != self._n_params:
             raise ValueError("parameter vector length mismatch")
-        self.left.theta = value[:n_left]
-        self.right.theta = value[n_left:]
+        for leaf, start, stop in self._theta_plan:
+            leaf.theta = value[start:stop]
 
     @property
     def bounds(self) -> list[tuple[float, float]]:
@@ -668,19 +685,16 @@ class Sum(_Combination):
             [self.left.gradients(x, workspace), self.right.gradients(x, workspace)]
         )
 
-    def gradient_traces(
-        self,
-        x: np.ndarray,
-        inner: np.ndarray,
-        workspace: dict | None = None,
-        k: np.ndarray | None = None,
-    ) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.left.gradient_traces(x, inner, workspace),
-                self.right.gradient_traces(x, inner, workspace),
-            ]
-        )
+    def value_and_traces(
+        self, x: np.ndarray, workspace: dict | None = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        k_left, left_traces = self.left.value_and_traces(x, workspace)
+        k_right, right_traces = self.right.value_and_traces(x, workspace)
+
+        def traces(inner: np.ndarray) -> np.ndarray:
+            return np.concatenate([left_traces(inner), right_traces(inner)])
+
+        return k_left + k_right, traces
 
     def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
         self.left._build_workspace(x, workspace)
@@ -710,22 +724,19 @@ class Product(_Combination):
         grads_right = self.right.gradients(x, workspace) * k_left[None, :, :]
         return np.concatenate([grads_left, grads_right])
 
-    def gradient_traces(
-        self,
-        x: np.ndarray,
-        inner: np.ndarray,
-        workspace: dict | None = None,
-        k: np.ndarray | None = None,
-    ) -> np.ndarray:
-        # tr(inner (dK_l o K_r)) = tr((inner o K_r) dK_l) and vice versa.
-        k_left = self.left(x, workspace=workspace)
-        k_right = self.right(x, workspace=workspace)
-        return np.concatenate(
-            [
-                self.left.gradient_traces(x, inner * k_right, workspace, k=k_left),
-                self.right.gradient_traces(x, inner * k_left, workspace, k=k_right),
-            ]
-        )
+    def value_and_traces(
+        self, x: np.ndarray, workspace: dict | None = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        k_left, left_traces = self.left.value_and_traces(x, workspace)
+        k_right, right_traces = self.right.value_and_traces(x, workspace)
+
+        def traces(inner: np.ndarray) -> np.ndarray:
+            # tr(inner (dK_l o K_r)) = tr((inner o K_r) dK_l), and vice versa.
+            return np.concatenate(
+                [left_traces(inner * k_right), right_traces(inner * k_left)]
+            )
+
+        return k_left * k_right, traces
 
     def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
         self.left._build_workspace(x, workspace)

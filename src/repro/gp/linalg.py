@@ -3,20 +3,29 @@
 All GP computations in :mod:`repro.gp` funnel through this module so that
 jitter policy, triangular solves and log-determinants are implemented once
 and tested once.
+
+The factorization and the solves call LAPACK ``dpotrf``, ``dpotrs`` and
+``dtrtrs`` directly: at GP sizes (n of a few dozen) scipy's
+``cholesky``/``cho_solve``/``solve_triangular`` wrappers cost 2-4x the
+LAPACK call they make. Each helper passes LAPACK the same arrays and
+flags as the scipy function it replaces, so the results are bit-identical
+to scipy's; ``tests/test_linalg.py`` keeps the scipy functions as the
+oracle.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import cho_solve as _cho_solve
-from scipy.linalg import cholesky as _cholesky
-from scipy.linalg import solve_triangular as _solve_triangular
+from scipy.linalg.lapack import dpotrf as _dpotrf
+from scipy.linalg.lapack import dpotrs as _dpotrs
+from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 __all__ = [
     "jitter_cholesky",
     "cho_solve",
     "solve_lower",
-    "solve_upper",
     "log_det_from_chol",
     "symmetrize",
     "chol_append",
@@ -37,6 +46,28 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _cholesky_lower(a: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of ``a`` as
+    ``scipy.linalg.cholesky(a, lower=True, check_finite=False)`` computes
+    it, or ``None`` when a leading minor is not positive definite.
+
+    Raises
+    ------
+    CholeskyError
+        If the factor has a non-finite diagonal. OpenBLAS ``dpotrf``
+        reports success on NaN input, and no diagonal jitter can repair a
+        non-finite matrix.
+    """
+    lower, info = _dpotrf(a, lower=True, clean=True, overwrite_a=False)
+    if info > 0:
+        return None
+    # Each diagonal entry is a square root, so the trace overflows only if
+    # one of them is already infinite: it is finite iff all of them are.
+    if not math.isfinite(lower.trace()):
+        raise CholeskyError("Cholesky factor has a non-finite diagonal")
+    return lower
+
+
 def jitter_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``a`` with adaptive diagonal jitter.
 
@@ -55,22 +86,22 @@ def jitter_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     ------
     CholeskyError
         If the matrix cannot be factored even after the largest jitter in
-        :data:`JITTER_LADDER`.
+        :data:`JITTER_LADDER`, or at once if it is not finite.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    diag_mean = float(np.mean(np.diag(a)))
+    n = a.shape[0]
+    # The mean of the diagonal, summed and divided as np.mean does it.
+    diag_mean = float(a.trace() / n)
     scale = diag_mean if diag_mean > 0.0 else 1.0
     a = symmetrize(a)
     for level in JITTER_LADDER:
         jitter = level * scale
-        try:
-            attempt = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-            lower = _cholesky(attempt, lower=True, check_finite=False)
+        attempt = a if jitter == 0.0 else a + jitter * np.eye(n)
+        lower = _cholesky_lower(attempt)
+        if lower is not None:
             return lower, jitter
-        except np.linalg.LinAlgError:
-            continue
     raise CholeskyError(
         "matrix is not positive definite even with jitter "
         f"{JITTER_LADDER[-1] * scale:.3e}"
@@ -79,22 +110,30 @@ def jitter_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
 
 def cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` given the lower Cholesky factor of ``A``."""
-    return _cho_solve((lower, True), b, check_finite=False)
+    x, _ = _dpotrs(lower, b, lower=True, overwrite_b=False)
+    return x
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the lower-triangular system ``L x = b``."""
-    return _solve_triangular(lower, b, lower=True, check_finite=False)
-
-
-def solve_upper(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the upper-triangular system ``L.T x = b``."""
-    return _solve_triangular(lower.T, b, lower=False, check_finite=False)
+    if lower.flags.f_contiguous:
+        x, info = _dtrtrs(lower, b, lower=True, trans=0)
+    else:
+        # dtrtrs reads Fortran order, so an L stored otherwise (the
+        # C-ordered posterior cache) is passed as the upper factor L.T of
+        # the transposed system, as scipy's solve_triangular does.
+        # Solving it untransposed changes the last bits of vector solves.
+        x, info = _dtrtrs(lower.T, b, lower=False, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular triangular factor: zero at diagonal {info - 1}"
+        )
+    return x
 
 
 def log_det_from_chol(lower: np.ndarray) -> float:
     """Log-determinant of ``A`` from its lower Cholesky factor."""
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return 2.0 * float(np.log(lower.diagonal()).sum())
 
 
 def chol_append(
@@ -137,14 +176,10 @@ def chol_append(
             f"shape mismatch: lower {lower.shape}, cross {cross.shape}, "
             f"block {block.shape}"
         )
-    l21 = _solve_triangular(lower, cross.T, lower=True, check_finite=False).T
-    schur = symmetrize(block - l21 @ l21.T)
-    try:
-        l22 = _cholesky(schur, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise CholeskyError(
-            "appended block makes the matrix indefinite"
-        ) from exc
+    l21 = solve_lower(lower, cross.T).T
+    l22 = _cholesky_lower(symmetrize(block - l21 @ l21.T))
+    if l22 is None:
+        raise CholeskyError("appended block makes the matrix indefinite")
     out = np.zeros((n + m, n + m))
     out[:n, :n] = lower
     out[n:, :n] = l21

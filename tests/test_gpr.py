@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gp import GPR, RBF, ConstantMean
+from repro.gp.linalg import CholeskyError
 
 
 @pytest.fixture
@@ -128,6 +129,44 @@ class TestTraining:
         assert model.train_result is not None  # just runs, capped
 
 
+def _nan_variance_rbf():
+    # The constructor rejects NaN, so it enters through theta, the way an
+    # optimizer step or a corrupt state would.
+    kernel = RBF(1)
+    kernel.theta = [np.nan, 0.0]
+    return kernel
+
+
+class TestEveryRestartFails:
+    """A fit whose every Cholesky fails must raise, not cache a NaN
+    posterior; finite restarts must still recover from a failed start."""
+
+    x = np.linspace(0.0, 1.0, 8)[:, None]
+    y = np.sin(4.0 * x[:, 0])
+
+    def test_nlml_maps_non_finite_kernel_to_penalty(self):
+        model = GPR(kernel=_nan_variance_rbf())
+        model._set_data(self.x, self.y)
+        value, grad = model._nlml_and_grad(model._full_theta())
+        assert value == 1e25
+        np.testing.assert_array_equal(grad, 0.0)
+
+    def test_single_failing_start_raises(self):
+        model = GPR(kernel=_nan_variance_rbf())
+        with pytest.raises(CholeskyError):
+            model.fit(self.x, self.y, n_restarts=0,
+                      rng=np.random.default_rng(0))
+
+    def test_finite_restarts_recover(self):
+        model = GPR(kernel=_nan_variance_rbf())
+        model.fit(self.x, self.y, n_restarts=2, rng=np.random.default_rng(0))
+        assert model.train_result.nlml < 1e25
+        assert np.all(np.isfinite(model.kernel.theta))
+        mu, var = model.predict(self.x)
+        assert np.all(np.isfinite(mu)) and np.all(np.isfinite(var))
+        np.testing.assert_allclose(mu, self.y, atol=1e-2)
+
+
 class TestSampling:
     def test_posterior_samples_match_moments(self, rng):
         x = np.linspace(0, 1, 10)[:, None]
@@ -167,6 +206,19 @@ class TestValidation:
             GPR(noise_variance=0.0)
         with pytest.raises(ValueError):
             GPR(max_opt_iter=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_noise_variance_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GPR(noise_variance=bad)
+
+    def test_nlml_before_fit_raises(self):
+        with pytest.raises(RuntimeError, match="model has not been fit"):
+            GPR().nlml()
+
+    def test_log_likelihood_before_fit_raises(self):
+        with pytest.raises(RuntimeError, match="model has not been fit"):
+            GPR().log_likelihood()
 
     def test_n_train_and_properties(self, rng):
         model = GPR()

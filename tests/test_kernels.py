@@ -104,6 +104,15 @@ class TestStationaryKernels:
         with pytest.raises(ValueError):
             RBF(2, lengthscales=[1.0, -1.0])
 
+    @pytest.mark.parametrize("cls", ALL_STATIONARY)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_raise(self, cls, bad):
+        # NaN passes a bare ``<= 0`` check.
+        with pytest.raises(ValueError, match="finite"):
+            cls(2, variance=bad)
+        with pytest.raises(ValueError, match="finite"):
+            cls(2, lengthscales=[1.0, bad])
+
     def test_wrong_input_dim_raises(self):
         kernel = RBF(3)
         with pytest.raises(ValueError):
@@ -139,6 +148,12 @@ class TestSimpleKernels:
         kernel = WhiteKernel(0.5)
         x = np.ones((3, 1))
         np.testing.assert_allclose(kernel.gradients(x)[0], 0.5 * np.eye(3))
+
+    @pytest.mark.parametrize("cls", [ConstantKernel, WhiteKernel])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_invalid_variance_raises(self, cls, bad):
+        with pytest.raises(ValueError):
+            cls(bad)
 
 
 class TestComposition:
@@ -185,6 +200,18 @@ class TestComposition:
         theta[0] = np.log(9.0)
         combined.theta = theta
         assert combined.left.variance == pytest.approx(9.0)
+
+    def test_nested_theta_write_reaches_every_leaf(self):
+        leaves = [RBF(1), RBF(2), Matern52(2), ConstantKernel(1.0)]
+        combined = (leaves[0] * leaves[1]) + (leaves[2] + leaves[3])
+        theta = np.arange(combined.n_params, dtype=float) / 10.0
+        combined.theta = theta
+        np.testing.assert_array_equal(combined.theta, theta)
+        np.testing.assert_array_equal(
+            np.concatenate([leaf.theta for leaf in leaves]), theta
+        )
+        with pytest.raises(ValueError):
+            combined.theta = theta[:-1]
 
 
 class TestNARGPKernel:

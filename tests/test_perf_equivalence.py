@@ -7,15 +7,29 @@ produce the same numbers as the straightforward reference computation.
 These tests pin that equivalence to tight tolerances on seeded data.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve as scipy_cho_solve
+from scipy.linalg import cholesky as scipy_cholesky
+from scipy.linalg import solve_triangular as scipy_solve_triangular
 
 from repro.core import MFBOptimizer
 from repro.gp import GPR
-from repro.gp.kernels import RBF, Matern32, Matern52, WhiteKernel, nargp_kernel
+from repro.gp.kernels import (
+    RBF,
+    Matern32,
+    Matern52,
+    Product,
+    Sum,
+    WhiteKernel,
+    nargp_kernel,
+)
 from repro.gp.linalg import (
+    JITTER_LADDER,
     CholeskyError,
     chol_append,
     chol_rank1_update,
@@ -75,7 +89,9 @@ def test_workspace_matches_fresh_evaluation(make_kernel):
 )
 def test_gradient_traces_match_gradient_stack(make_kernel):
     """The closed-form trace contraction equals contracting the full
-    (n_params, n, n) gradient stack, with and without a precomputed K."""
+    (n_params, n, n) gradient stack, both through ``gradient_traces`` and
+    through the ``traces`` of a ``value_and_traces`` pass, whose ``K`` is
+    ``kernel(x)`` bit for bit."""
     kernel = make_kernel()
     rng = np.random.default_rng(14)
     x = rng.random((12, 4))
@@ -85,12 +101,9 @@ def test_gradient_traces_match_gradient_stack(make_kernel):
     np.testing.assert_allclose(
         kernel.gradient_traces(x, inner), reference, rtol=1e-10, atol=1e-12
     )
-    np.testing.assert_allclose(
-        kernel.gradient_traces(x, inner, k=kernel(x)),
-        reference,
-        rtol=1e-10,
-        atol=1e-12,
-    )
+    k, traces = kernel.value_and_traces(x, kernel.make_workspace(x))
+    assert k.tobytes() == kernel(x).tobytes()
+    np.testing.assert_allclose(traces(inner), reference, rtol=1e-10, atol=1e-12)
 
 
 def test_workspace_guarded_by_input_identity():
@@ -154,6 +167,151 @@ def test_nlml_and_grad_matches_reference_formulation():
 
         assert nlml == pytest.approx(ref_nlml, rel=1e-10)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-8, atol=1e-10)
+
+
+# The oracle: GPR._nlml_and_grad as it was before the direct LAPACK calls
+# and the one-pass kernel traces, kept verbatim: scipy.linalg for the
+# factorization and the solves, kernel(x) for K, then a separate
+# gradient_traces pass with the precomputed K (k=) in which Product
+# re-evaluated both factors and Sum passed no K down.
+def oracle_rbf_traces(kernel, x, inner, k=None):
+    sq_diffs = kernel._sq_diffs(x)
+    if k is None:
+        k = kernel.variance * np.exp(-0.5 * (sq_diffs @ kernel._inv_sq_lengthscales))
+    w = inner * k
+    out = np.empty(kernel.n_params)
+    out[0] = np.sum(w)
+    n2 = w.size
+    out[1:] = (w.reshape(n2) @ sq_diffs.reshape(n2, -1)) * (
+        kernel._inv_sq_lengthscales
+    )
+    return out
+
+
+def oracle_gradient_traces(kernel, x, inner, k=None):
+    if isinstance(kernel, RBF):
+        return oracle_rbf_traces(kernel, x, inner, k)
+    if isinstance(kernel, Sum):
+        return np.concatenate(
+            [
+                oracle_gradient_traces(kernel.left, x, inner),
+                oracle_gradient_traces(kernel.right, x, inner),
+            ]
+        )
+    assert isinstance(kernel, Product)
+    k_left, k_right = kernel.left(x), kernel.right(x)
+    return np.concatenate(
+        [
+            oracle_gradient_traces(kernel.left, x, inner * k_right, k=k_left),
+            oracle_gradient_traces(kernel.right, x, inner * k_left, k=k_right),
+        ]
+    )
+
+
+def oracle_jitter_cholesky(a):
+    a = np.asarray(a, dtype=float)
+    diag_mean = float(np.mean(np.diag(a)))
+    scale = diag_mean if diag_mean > 0.0 else 1.0
+    a = 0.5 * (a + a.T)
+    for level in JITTER_LADDER:
+        jitter = level * scale
+        try:
+            attempt = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
+            return scipy_cholesky(attempt, lower=True, check_finite=False), jitter
+        except np.linalg.LinAlgError:
+            continue
+    raise CholeskyError("oracle ladder exhausted")
+
+
+def _oracle_leaves(kernel):
+    if isinstance(kernel, (Sum, Product)):
+        return _oracle_leaves(kernel.left) + _oracle_leaves(kernel.right)
+    return [kernel]
+
+
+def oracle_nlml_and_grad(model, theta):
+    """``model`` is the oracle's own copy; theta is written leaf by leaf
+    through the leaf setters, without the combination's slice plan."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    start = 0
+    for leaf in _oracle_leaves(model.kernel):
+        leaf.theta = theta[start : start + leaf.n_params]
+        start += leaf.n_params
+    noise_variance = float(np.exp(float(theta[-1])))
+    x, y = model._x_train, model._y_train
+    n = x.shape[0]
+    eye = np.eye(n)
+    k_noise_free = model.kernel(x)
+    k = k_noise_free + noise_variance * eye
+    try:
+        lower, _ = oracle_jitter_cholesky(k)
+    except CholeskyError:
+        return 1e25, np.zeros_like(theta)
+    alpha = scipy_cho_solve((lower, True), y, check_finite=False)
+    nlml = 0.5 * (
+        float(y @ alpha)
+        + 2.0 * float(np.sum(np.log(np.diag(lower))))
+        + n * np.log(2.0 * np.pi)
+    )
+    if not np.isfinite(nlml):
+        return 1e25, np.zeros_like(theta)
+    lower_inv = scipy_solve_triangular(lower, eye, lower=True, check_finite=False)
+    inner = lower_inv.T @ lower_inv - np.outer(alpha, alpha)
+    grad = np.empty(theta.size)
+    grad[:-1] = 0.5 * oracle_gradient_traces(model.kernel, x, inner, k=k_noise_free)
+    grad[-1] = 0.5 * noise_variance * float(np.trace(inner))
+    return nlml, grad
+
+
+@pytest.mark.parametrize("kernel_name", ["rbf", "eq9"])
+def test_nlml_and_grad_matches_oracle_bitwise(kernel_name):
+    """Value and gradient bytes equal the oracle's at several theta,
+    including a near-singular K that climbs the jitter ladder. Every
+    call writes a new theta, and the kernel's own theta is also written
+    between calls, so factors cached across a theta write would fail."""
+    rng = np.random.default_rng(21)
+    d, n = 5, 20
+    x = rng.random((n, d))
+    x[-4:] = x[:4]  # repeated designs, as a BO loop makes them
+    y = np.sin(x @ rng.standard_normal(d)) + 0.01 * rng.standard_normal(n)
+    if kernel_name == "rbf":
+        model = GPR(kernel=RBF(d))
+    else:
+        model = GPR(kernel=nargp_kernel(d))
+        x = np.column_stack([x, np.cos(3.0 * x[:, 0])])
+    model.fit(x, y, optimize=False)
+    oracle = copy.deepcopy(model)
+    bounds = np.array(model._full_bounds())
+    theta0 = model._full_theta()
+    probes = [theta0, theta0 + 0.3, theta0 - 0.4]
+    probes += list(rng.uniform(bounds[:, 0], bounds[:, 1], size=(6, theta0.size)))
+    # Repeated designs with a noise far below its bound: rung 0 of the
+    # jitter ladder fails.
+    near_singular = theta0.copy()
+    near_singular[-1] = np.log(1e-20)
+    probes += [near_singular, theta0]
+    for theta in probes:
+        value, grad = model._nlml_and_grad(theta)
+        expected_value, expected_grad = oracle_nlml_and_grad(oracle, theta)
+        assert float(value) == float(expected_value)
+        assert grad.tobytes() == expected_grad.tobytes()
+        model.kernel.theta = rng.uniform(bounds[:-1, 0], bounds[:-1, 1])
+
+
+@pytest.mark.parametrize("make_kernel", [lambda: RBF(3), lambda: nargp_kernel(2)])
+def test_traces_belong_to_the_theta_of_their_pass(make_kernel):
+    """A theta write after a value_and_traces pass leaves its traces as
+    they were: they contract the factors of that pass."""
+    kernel = make_kernel()
+    rng = np.random.default_rng(22)
+    x = rng.random((9, 3))
+    w = rng.standard_normal((9, 9))
+    inner = 0.5 * (w + w.T)
+    k, traces = kernel.value_and_traces(x)
+    expected = oracle_gradient_traces(kernel, x, inner, k=kernel(x))
+    kernel.theta = kernel.theta + 0.5
+    assert traces(inner).tobytes() == expected.tobytes()
+    assert k.tobytes() != kernel(x).tobytes()
 
 
 # ---------------------------------------------------------------------------
