@@ -635,8 +635,9 @@ class _Combination(Kernel):
         # every write would re-concatenate its theta.
         plan, start = [], 0
         for leaf in left._leaves() + right._leaves():
-            plan.append((leaf, start, start + leaf.n_params))
-            start += leaf.n_params
+            stop = start + leaf.n_params
+            plan.append((leaf, start, stop))
+            start = stop
         self._theta_plan = plan
         self._n_params = start
 
