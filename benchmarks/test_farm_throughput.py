@@ -1,15 +1,16 @@
-"""farm_throughput — asynchronous farm vs. barrier-style batch pools.
+"""farm_throughput — streamed farm vs. barrier-style batches.
 
-A barrier evaluator (``ProcessPoolEvaluator``) waits for the *slowest*
+A barrier evaluator (``AsyncEvaluator.evaluate``) waits for the *slowest*
 evaluation of every batch before any worker gets new work; with
-heterogeneous simulation latencies the fast workers idle. The
-``AsyncEvaluator`` streams each evaluation independently, so one
-straggler per batch no longer sets the pace.
+heterogeneous simulation latencies the fast workers idle. Streaming
+through ``AsyncEvaluator.submit``/``as_completed`` hands out each
+evaluation independently, so one straggler per batch no longer sets the
+pace.
 
 The workload is :class:`repro.problems.LatencyProblem` — 5 batches of 8
 suggestions, exactly one ~0.5 s straggler per batch among ~0.01 s fast
 points (a mild version of real SPICE-corner heterogeneity). The barrier
-pays ~5 x 0.5 s of straggler serialization; the async farm overlaps the
+pays ~5 x 0.5 s of straggler serialization; streaming overlaps the
 stragglers with all the fast work. The acceptance bar (asserted in
 ``test_async_speedup``): >= 3x throughput with 8 workers.
 
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.problems import LatencyProblem
-from repro.session import AsyncEvaluator, ProcessPoolEvaluator, Suggestion
+from repro.session import AsyncEvaluator, Suggestion
 
 N_BATCHES = 5
 BATCH = 8
@@ -49,7 +50,7 @@ def test_barrier_pool(once):
 
     def drive():
         total = 0
-        with ProcessPoolEvaluator(max_workers=BATCH) as pool:
+        with AsyncEvaluator(max_workers=BATCH) as pool:
             for batch in batches:
                 total += len(pool.evaluate(problem, batch))
         return total

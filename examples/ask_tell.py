@@ -5,8 +5,8 @@ Three ways to drive the paper's optimizer through the session API:
 1. **Manual ask/tell** — you own the evaluation loop (e.g. submit each
    suggestion to a simulator farm and feed the results back).
 2. **Parallel batch evaluation** — ``suggest(k)`` produces ``k``
-   distinct candidates via constant-liar fantasization, and a
-   ``ProcessPoolEvaluator`` simulates them concurrently.
+   distinct candidates via constant-liar fantasization, and an
+   ``AsyncEvaluator`` simulates them concurrently.
 3. **Checkpoint and resume** — save a session mid-run, rebuild it from
    the JSON checkpoint, and get the exact trajectory the uninterrupted
    run would have produced.
@@ -26,7 +26,6 @@ from repro import (
     FaultInjectingEvaluator,
     MFBOptimizer,
     OptimizationSession,
-    ProcessPoolEvaluator,
 )
 from repro.problems import ForresterProblem
 
@@ -63,7 +62,7 @@ def parallel_batches(seed: int = 0) -> None:
     # leaving the with-block shuts the workers down.
     with OptimizationSession(
         MFBOptimizer(ForresterProblem(), seed=seed, **SETTINGS),
-        evaluator=ProcessPoolEvaluator(max_workers=3),
+        evaluator=AsyncEvaluator(max_workers=3),
         own_evaluator=True,
     ) as session:
         result = session.run(batch_size=3)   # 3 suggestions per iteration

@@ -18,7 +18,7 @@ legacy                                           session equivalent
 ===============================================  ==========================
 ``MFBOptimizer(problem, ...).run()``             ``OptimizationSession(MFBOptimizer(problem, ...)).run()``
 ``optimizer.history`` during ``callback``        ``session.history`` (same object)
-blocking loop, serial simulations                ``session.run(batch_size=k)`` with a ``ProcessPoolEvaluator``
+blocking loop, serial simulations                ``session.run(batch_size=k)`` with an ``AsyncEvaluator``
 no pause/resume                                  ``session.save(path)`` / ``OptimizationSession.resume(path, problem)``
 ===============================================  ==========================
 

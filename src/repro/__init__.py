@@ -70,7 +70,6 @@ _EXPORTS = {
     "Suggestion": "session",
     "Evaluator": "session",
     "SerialEvaluator": "session",
-    "ProcessPoolEvaluator": "session",
     "AsyncEvaluator": "session",
     "FaultInjectingEvaluator": "session",
     "FaultSpec": "session",
@@ -208,7 +207,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis sees eager imports
         FaultInjectingEvaluator,
         FaultSpec,
         OptimizationSession,
-        ProcessPoolEvaluator,
         SerialEvaluator,
         Strategy,
         Suggestion,

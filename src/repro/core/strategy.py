@@ -76,6 +76,31 @@ def nudge_duplicate(
         scale = min(10.0 * scale, 1.0)
 
 
+def _take_match(
+    suggestions: list[Suggestion], x_unit: np.ndarray, fidelity: str
+) -> bool:
+    """Delete the suggestion matching an observed design; return whether
+    one matched.
+
+    Exact array match first; an ``allclose`` pass second, in case the
+    caller round-tripped the design through a lossy encoding. Either pass
+    requires the same fidelity.
+    """
+    for i, s in enumerate(suggestions):
+        if s.fidelity == fidelity and np.array_equal(s.x_unit, x_unit):
+            del suggestions[i]
+            return True
+    for i, s in enumerate(suggestions):
+        if (
+            s.fidelity == fidelity
+            and np.shape(s.x_unit) == x_unit.shape
+            and np.allclose(s.x_unit, x_unit, rtol=0.0, atol=1e-12)
+        ):
+            del suggestions[i]
+            return True
+    return False
+
+
 class StrategyBase:
     """Common ask/tell implementation; subclasses fill in four hooks.
 
@@ -174,17 +199,36 @@ class StrategyBase:
         from a flaky simulator becomes a finite, infeasible
         :class:`repro.problems.FailedEvaluation` rather than poisoning
         the GP fits downstream.
+
+        Raises
+        ------
+        ValueError
+            Before anything is recorded, if the fidelity is not one of the
+            problem's, does not match the evaluation's, or if ``x_unit``
+            is not a finite vector of ``problem.dim`` entries.
         """
         if evaluation.fidelity != fidelity:
             raise ValueError(
                 f"evaluation was run at fidelity {evaluation.fidelity!r} "
                 f"but observed as {fidelity!r}"
             )
+        if fidelity not in self.problem.fidelities:
+            raise ValueError(
+                f"unknown fidelity {fidelity!r}; the problem has "
+                f"{self.problem.fidelities}"
+            )
+        x_unit = np.asarray(x_unit, dtype=float).ravel()
+        if x_unit.size != self.problem.dim or not np.isfinite(x_unit).all():
+            raise ValueError(
+                f"x_unit must be a finite vector of {self.problem.dim} "
+                f"entries, got {x_unit.tolist()}"
+            )
         start = time.perf_counter()
         with span("strategy.observe", fidelity=fidelity):
-            x_unit = np.asarray(x_unit, dtype=float).ravel()
             evaluation = self._validate_finite(x_unit, evaluation)
-            self._retract_pending(x_unit, fidelity)
+            # Observations of never-suggested points (externally produced
+            # data) leave the pending set untouched.
+            _take_match(self._pending, x_unit, fidelity)
             record = self.history.add(
                 x_unit,
                 evaluation,
@@ -238,27 +282,6 @@ class StrategyBase:
             sum(self.problem.cost(s.fidelity) for s in self._pending)
         )
 
-    def _retract_pending(self, x_unit: np.ndarray, fidelity: str) -> None:
-        """Drop the pending entry matching an observed evaluation.
-
-        Exact array match first; an ``allclose`` pass second, in case
-        the caller round-tripped the design through a lossy encoding.
-        Observations of never-suggested points (externally produced
-        data) simply leave the pending set untouched.
-        """
-        for i, s in enumerate(self._pending):
-            if s.fidelity == fidelity and np.array_equal(s.x_unit, x_unit):
-                del self._pending[i]
-                return
-        for i, s in enumerate(self._pending):
-            if (
-                s.fidelity == fidelity
-                and np.shape(s.x_unit) == x_unit.shape
-                and np.allclose(s.x_unit, x_unit, rtol=0.0, atol=1e-12)
-            ):
-                del self._pending[i]
-                return
-
     def discard_queued(self, x_unit: np.ndarray, fidelity: str) -> bool:
         """Drop the queued suggestion matching an externally replayed point.
 
@@ -267,22 +290,10 @@ class StrategyBase:
         restored queue (checkpointed in-flight suggestions are re-queued
         for dispatch), so without this retraction the session would
         evaluate them a second time. Returns whether a match was found;
-        matching mirrors :meth:`_retract_pending`.
+        matching is the one :meth:`observe` uses for pending suggestions.
         """
         x_unit = np.asarray(x_unit, dtype=float).ravel()
-        for i, s in enumerate(self._queue):
-            if s.fidelity == fidelity and np.array_equal(s.x_unit, x_unit):
-                del self._queue[i]
-                return True
-        for i, s in enumerate(self._queue):
-            if (
-                s.fidelity == fidelity
-                and np.shape(s.x_unit) == x_unit.shape
-                and np.allclose(s.x_unit, x_unit, rtol=0.0, atol=1e-12)
-            ):
-                del self._queue[i]
-                return True
-        return False
+        return _take_match(self._queue, x_unit, fidelity)
 
     def _after_observe(self, record: Record) -> None:
         if self.callback is not None and self._iteration >= 1:

@@ -142,8 +142,8 @@ def compare_algorithms(
     same stream of repeat seeds — the paper's "run N times to average out
     the random fluctuations". ``evaluator``/``batch_size`` are forwarded
     to the per-run :func:`run_strategy` session driver (e.g. pass a
-    :class:`repro.session.ProcessPoolEvaluator` and ``batch_size > 1``
-    to simulate suggestion batches in parallel).
+    :class:`repro.session.AsyncEvaluator` and ``batch_size > 1`` to
+    simulate suggestion batches in parallel).
     """
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")

@@ -1,36 +1,17 @@
-"""Gaussian process substrate: kernels, means and exact GP regression."""
+"""Gaussian process substrate: the SE kernel and exact GP regression."""
 
 from .gpr import GPR, TrainResult
-from .kernels import (
-    RBF,
-    ConstantKernel,
-    Kernel,
-    Matern32,
-    Matern52,
-    Product,
-    Sum,
-    WhiteKernel,
-    nargp_kernel,
-)
-from .linalg import chol_append, chol_rank1_update, jitter_cholesky
-from .means import ConstantMean, MeanFunction, ZeroMean
+from .kernels import RBF, Kernel, Product, Sum, nargp_kernel
+from .linalg import chol_append, jitter_cholesky
 
 __all__ = [
     "GPR",
     "TrainResult",
     "Kernel",
     "RBF",
-    "Matern32",
-    "Matern52",
-    "ConstantKernel",
-    "WhiteKernel",
     "Sum",
     "Product",
     "nargp_kernel",
-    "MeanFunction",
-    "ZeroMean",
-    "ConstantMean",
     "jitter_cholesky",
     "chol_append",
-    "chol_rank1_update",
 ]

@@ -29,7 +29,6 @@ from .linalg import (
     log_det_from_chol,
     solve_lower,
 )
-from .means import MeanFunction, ZeroMean
 
 __all__ = ["GPR", "TrainResult"]
 
@@ -57,13 +56,6 @@ class GPR:
         first call to :meth:`fit`.
     noise_variance:
         Initial observation-noise variance (standardized-target units).
-    mean:
-        Prior mean function; the paper uses :class:`ZeroMean`.
-    noise_bounds:
-        Log-space bounds for the noise variance. Pass a degenerate pair to
-        effectively pin the noise.
-    normalize_y:
-        Standardize targets internally (recommended, default).
     max_opt_iter:
         L-BFGS-B iteration cap per hyperparameter-training restart;
         lower it for cheap-and-cheerful fits inside tight BO loops.
@@ -84,9 +76,6 @@ class GPR:
         self,
         kernel: Kernel | None = None,
         noise_variance: float = 1e-4,
-        mean: MeanFunction | None = None,
-        noise_bounds: tuple[float, float] | None = None,
-        normalize_y: bool = True,
         max_opt_iter: int = 100,
     ) -> None:
         if not 0.0 < noise_variance < math.inf:
@@ -95,12 +84,7 @@ class GPR:
             raise ValueError("max_opt_iter must be >= 1")
         self.max_opt_iter = int(max_opt_iter)
         self.kernel = kernel
-        self.mean = mean if mean is not None else ZeroMean()
-        self.normalize_y = bool(normalize_y)
         self._set_log_noise(float(np.log(noise_variance)))
-        self._noise_bounds = (
-            tuple(noise_bounds) if noise_bounds is not None else _LOG_NOISE_BOUNDS
-        )
         self._x_train: np.ndarray | None = None
         self._y_raw: np.ndarray | None = None
         self._y_train: np.ndarray | None = None
@@ -161,14 +145,10 @@ class GPR:
         self._x_train = x
         self._y_raw = y.copy()
         self._eye = np.eye(x.shape[0])
-        if self.normalize_y:
-            self._y_shift = float(np.mean(y))
-            scale = float(np.std(y))
-            self._y_scale = scale if scale > 1e-12 else 1.0
-        else:
-            self._y_shift, self._y_scale = 0.0, 1.0
-        residual = y - self.mean(x) - self._y_shift
-        self._y_train = residual / self._y_scale
+        self._y_shift = float(np.mean(y))
+        scale = float(np.std(y))
+        self._y_scale = scale if scale > 1e-12 else 1.0
+        self._y_train = (y - self._y_shift) / self._y_scale
         if self.kernel is None:
             self.kernel = RBF(x.shape[1], lengthscales=0.5)
         self._workspace = None
@@ -193,7 +173,7 @@ class GPR:
         self._set_log_noise(float(theta[-1]))
 
     def _full_bounds(self) -> list[tuple[float, float]]:
-        return self.kernel.bounds + [self._noise_bounds]
+        return self.kernel.bounds + [_LOG_NOISE_BOUNDS]
 
     def _nlml_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Negative log marginal likelihood (eq. 3) and its gradient.
@@ -446,10 +426,7 @@ class GPR:
         x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
         k_star = self.kernel(x_star, self._x_train)
         return self.predict_from_cross(
-            k_star,
-            self.kernel.diag(x_star),
-            include_noise=include_noise,
-            x_star=x_star,
+            k_star, self.kernel.diag(x_star), include_noise=include_noise
         )
 
     def predict_from_cross(
@@ -457,7 +434,6 @@ class GPR:
         k_star: np.ndarray,
         prior_diag: np.ndarray,
         include_noise: bool = True,
-        x_star: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior from a caller-supplied cross covariance.
 
@@ -473,9 +449,6 @@ class GPR:
             Cross covariance ``K(x*, X_train)`` of shape ``(m, n)``.
         prior_diag:
             Prior variances ``diag(K(x*, x*))`` of shape ``(m,)``.
-        x_star:
-            The test inputs, required only when the model has a non-zero
-            prior mean.
         """
         if self._chol is None:
             raise RuntimeError("model has not been fit")
@@ -485,15 +458,9 @@ class GPR:
         if include_noise:
             var = var + self.noise_variance
         var = np.maximum(var, 1e-12)
-        if isinstance(self.mean, ZeroMean):
-            # Adding the scalar zero mean keeps what adding the zeros
-            # array did: -0.0 becomes +0.0.
-            mean_term = 0.0
-        elif x_star is None:
-            raise ValueError("x_star is required when the prior mean is not zero")
-        else:
-            mean_term = self.mean(x_star)
-        mu = mu * self._y_scale + self._y_shift + mean_term
+        # The zero prior mean (paper §2.3). Keep the + 0.0: it turns -0.0
+        # into +0.0, and the bitwise trajectory pins see the sign of zero.
+        mu = mu * self._y_scale + self._y_shift + 0.0
         var = var * self._y_scale**2
         return mu, var
 
@@ -504,8 +471,7 @@ class GPR:
 
         Flattens a ``(b, m, d)`` stack into one ``(b·m, d)`` kernel
         evaluation and one triangular solve, so ``b`` related predictions
-        (e.g. the Monte-Carlo fusion samples of NARGP, paper eq. 10) cost
-        one BLAS call instead of ``b`` Python-level round trips.
+        cost one BLAS call instead of ``b`` Python-level round trips.
 
         Parameters
         ----------
@@ -534,31 +500,5 @@ class GPR:
         x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
         k_star = self.kernel(x_star, self._x_train)
         mu = k_star @ self._alpha
-        return mu * self._y_scale + self._y_shift + self.mean(x_star)
-
-    def sample_posterior(
-        self,
-        x_star: np.ndarray,
-        n_samples: int = 1,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Draw joint posterior samples at ``x_star``.
-
-        Returns an array of shape ``(n_samples, m)``.
-        """
-        if self._chol is None:
-            raise RuntimeError("model has not been fit")
-        rng = ensure_rng(rng)
-        x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
-        k_star = self.kernel(x_star, self._x_train)
-        mu = k_star @ self._alpha
-        v = solve_lower(self._chol, k_star.T)
-        cov = self.kernel(x_star) - v.T @ v
-        cov_chol, _ = jitter_cholesky(cov + 1e-10 * np.eye(cov.shape[0]))
-        white = rng.standard_normal((n_samples, x_star.shape[0]))
-        samples = mu[None, :] + white @ cov_chol.T
-        return samples * self._y_scale + self._y_shift + self.mean(x_star)[None, :]
-
-    def log_likelihood(self) -> float:
-        """Log marginal likelihood at the current hyperparameters."""
-        return -self.nlml()
+        # + 0.0: the zero prior mean, as in predict_from_cross.
+        return mu * self._y_scale + self._y_shift + 0.0

@@ -1,14 +1,16 @@
 """Covariance functions for Gaussian process regression.
 
-All hyperparameters live in **log space**: a kernel exposes a flat vector
-``theta`` of log-parameters together with log-space box ``bounds``; the
-trainer in :mod:`repro.gp.gpr` optimizes that vector directly, which keeps
-positivity constraints implicit and conditioning sane.
+The paper's surrogate uses one covariance function: the squared-exponential
+ARD kernel of eq. (2), :class:`RBF`. All hyperparameters live in **log
+space**: a kernel exposes a flat vector ``theta`` of log-parameters
+together with log-space box ``bounds``; the trainer in :mod:`repro.gp.gpr`
+optimizes that vector directly, which keeps positivity constraints
+implicit and conditioning sane.
 
 Kernels compose with ``+`` and ``*`` (building :class:`Sum` and
-:class:`Product`), and each kernel can be restricted to a subset of input
-columns via ``active_dims`` — this is how the NARGP fusion kernel of the
-paper (eq. 9) is assembled, see :func:`nargp_kernel`.
+:class:`Product`), and an :class:`RBF` can be restricted to a subset of
+input columns via ``active_dims`` — this is how the NARGP fusion kernel of
+the paper (eq. 9) is assembled, see :func:`nargp_kernel`.
 """
 
 from __future__ import annotations
@@ -17,50 +19,17 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Kernel",
-    "ConstantKernel",
-    "WhiteKernel",
-    "RBF",
-    "Matern32",
-    "Matern52",
-    "Sum",
-    "Product",
-    "nargp_kernel",
-]
+__all__ = ["Kernel", "RBF", "Sum", "Product", "nargp_kernel"]
 
-_SQRT3 = np.sqrt(3.0)
-_SQRT5 = np.sqrt(5.0)
-
-# Default log-space bounds used when none are given explicitly.
+# Log-space bounds of every kernel hyperparameter.
 _LOG_VARIANCE_BOUNDS: tuple[float, float] = (float(np.log(1e-6)), float(np.log(1e4)))
 _LOG_LENGTHSCALE_BOUNDS: tuple[float, float] = (float(np.log(1e-3)), float(np.log(1e3)))
-
-
-def _bounds_pair(
-    bounds: Sequence[float] | None, default: tuple[float, float]
-) -> tuple[float, float]:
-    """Normalize a user-supplied ``(low, high)`` pair, falling back to
-    ``default`` when none is given."""
-    if bounds is None:
-        return default
-    low, high = bounds
-    return (float(low), float(high))
 
 
 def _positive_finite(value) -> bool:
     """Whether every entry of ``value`` lies in ``(0, inf)``; NaN fails."""
     value = np.asarray(value, dtype=float)
     return bool(np.all((value > 0.0) & (value < np.inf)))
-
-
-def _sq_traces(
-    weight: np.ndarray, sq_diffs: np.ndarray, inv_sq_lengthscales: np.ndarray
-) -> np.ndarray:
-    """``sum_ab weight[a,b] * sq_diffs[a,b,i] / l_i^2`` per dimension,
-    as one ``(n^2,) @ (n^2, d)`` mat-vec."""
-    n2 = weight.size
-    return (weight.reshape(n2) @ sq_diffs.reshape(n2, -1)) * inv_sq_lengthscales
 
 
 def _as_2d(x: np.ndarray) -> np.ndarray:
@@ -75,21 +44,20 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
 class Kernel:
     """Base class for covariance functions.
 
-    Subclasses implement :meth:`__call__`, :meth:`diag`,
-    :meth:`gradients` and :meth:`value_and_traces`; hyperparameter
-    plumbing (``theta``, ``bounds``, ``param_names``) is shared here.
+    Subclasses implement :meth:`__call__`, :meth:`diag` and
+    :meth:`value_and_traces`; hyperparameter plumbing (``theta``,
+    ``bounds``, ``param_names``) is shared here.
 
     Workspaces
     ----------
-    The theta-independent part of a stationary kernel evaluation — the
-    pairwise per-dimension squared differences — does not change between
-    the hundreds of objective/gradient calls an L-BFGS-B hyperparameter
+    The theta-independent part of a kernel evaluation — the pairwise
+    per-dimension squared differences — does not change between the
+    hundreds of objective/gradient calls an L-BFGS-B hyperparameter
     search makes on one fixed training set. :meth:`make_workspace`
     precomputes those tensors once; passing the returned workspace to
-    :meth:`__call__` / :meth:`gradients` / :meth:`value_and_traces` skips
-    the recomputation. A workspace is only valid for the exact ``x`` it
-    was built from (and ``x2 is None``); it stays valid across ``theta``
-    updates.
+    :meth:`__call__` / :meth:`value_and_traces` skips the recomputation.
+    A workspace is only valid for the exact ``x`` it was built from (and
+    ``x2 is None``); it stays valid across ``theta`` updates.
     """
 
     def __call__(
@@ -105,19 +73,9 @@ class Kernel:
         """Diagonal of ``K(x, x)`` without forming the full matrix."""
         raise NotImplementedError
 
-    def gradients(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> np.ndarray:
-        """Stack of ``dK(x, x) / d theta_j`` with shape ``(n_params, n, n)``.
-
-        Derivatives are taken with respect to the **log-space** parameters,
-        matching the ``theta`` vector.
-        """
-        raise NotImplementedError
-
     def make_workspace(self, x: np.ndarray) -> dict:
         """Precompute theta-independent tensors for repeated evaluation
-        of ``K(x, x)`` / ``gradients(x)`` on a fixed ``x``."""
+        of ``K(x, x)`` on a fixed ``x``."""
         x = _as_2d(x)
         workspace: dict = {"x_ref": x}
         self._build_workspace(x, workspace)
@@ -130,30 +88,16 @@ class Kernel:
         against ``dK(x, x) / d theta``, from one kernel evaluation.
 
         The returned ``traces(inner)`` gives
-        ``sum_ab inner[a,b] * dK(x,x)/dtheta_j[a,b]`` for every ``j``.
-        That is the only quantity the marginal-likelihood gradient needs
-        (``inner = K^-1 - alpha alpha^T``); contracting it directly avoids
-        materializing the ``(n_params, n, n)`` gradient stack, and
-        ``traces`` reuses the factor matrices this pass computed instead
-        of evaluating them again. It belongs to the ``theta`` of the pass.
-
-        Parameters
-        ----------
-        x, workspace:
-            As in :meth:`gradients`.
+        ``sum_ab inner[a,b] * dK(x,x)/dtheta_j[a,b]`` for every ``j``,
+        with derivatives taken with respect to the **log-space**
+        parameters of ``theta``. That is the only quantity the
+        marginal-likelihood gradient needs (``inner = K^-1 - alpha
+        alpha^T``); contracting it directly avoids materializing the
+        ``(n_params, n, n)`` gradient stack, and ``traces`` reuses the
+        factor matrices this pass computed instead of evaluating them
+        again. It belongs to the ``theta`` of the pass.
         """
         raise NotImplementedError
-
-    def gradient_traces(
-        self,
-        x: np.ndarray,
-        inner: np.ndarray,
-        workspace: dict | None = None,
-    ) -> np.ndarray:
-        """``sum_ab inner[a,b] * dK(x,x)/dtheta_j[a,b]`` for every ``j``,
-        for a symmetric ``(n, n)`` weight matrix ``inner``; see
-        :meth:`value_and_traces`."""
-        return self.value_and_traces(x, workspace)[1](inner)
 
     def _leaves(self) -> list["Kernel"]:
         """The leaf kernels of this tree, in ``theta`` order."""
@@ -199,164 +143,14 @@ class Kernel:
         return f"{type(self).__name__}({pairs})"
 
 
-class _ActiveDimsMixin:
-    """Shared column-slicing behaviour for leaf kernels."""
+class RBF(Kernel):
+    """Squared-exponential (SE) ARD kernel — paper eq. (2).
 
-    active_dims: np.ndarray | None
+    ``k(x1, x2) = variance * exp(-0.5 * sum_i ((x1_i - x2_i) / l_i)^2)``
 
-    def _init_active_dims(
-        self, active_dims: Sequence[int] | np.ndarray | None
-    ) -> None:
-        if active_dims is None:
-            self.active_dims = None
-        else:
-            dims = np.asarray(active_dims, dtype=int).ravel()
-            if dims.size == 0:
-                raise ValueError("active_dims must not be empty")
-            self.active_dims = dims
-
-    def _slice(self, x: np.ndarray) -> np.ndarray:
-        x = _as_2d(x)
-        if self.active_dims is None:
-            return x
-        return x[:, self.active_dims]
-
-
-class ConstantKernel(_ActiveDimsMixin, Kernel):
-    """Constant covariance ``k(x1, x2) = variance``."""
-
-    def __init__(
-        self, variance: float = 1.0, bounds: Sequence[float] | None = None
-    ) -> None:
-        if not _positive_finite(variance):
-            raise ValueError("variance must be positive and finite")
-        self._log_variance = float(np.log(variance))
-        self._bounds = [_bounds_pair(bounds, _LOG_VARIANCE_BOUNDS)]
-        self._init_active_dims(None)
-
-    @property
-    def variance(self) -> float:
-        return float(np.exp(self._log_variance))
-
-    def __call__(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
-    ) -> np.ndarray:
-        x1 = _as_2d(x1)
-        n2 = x1.shape[0] if x2 is None else _as_2d(x2).shape[0]
-        return np.full((x1.shape[0], n2), self.variance)
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        return np.full(_as_2d(x).shape[0], self.variance)
-
-    def gradients(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> np.ndarray:
-        n = _as_2d(x).shape[0]
-        return np.full((1, n, n), self.variance)
-
-    def value_and_traces(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        variance = self.variance
-        return self(x), lambda inner: np.array([variance * float(inner.sum())])
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.array([self._log_variance])
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=float).ravel()
-        if value.size != 1:
-            raise ValueError("ConstantKernel has exactly one parameter")
-        self._log_variance = float(value[0])
-
-    @property
-    def bounds(self) -> list[tuple[float, float]]:
-        return list(self._bounds)
-
-    @property
-    def param_names(self) -> list[str]:
-        return ["constant.variance"]
-
-
-class WhiteKernel(_ActiveDimsMixin, Kernel):
-    """White noise covariance: ``variance`` on the diagonal, 0 elsewhere.
-
-    Cross covariances ``K(x1, x2)`` with distinct inputs are identically
-    zero, which is the behaviour needed when this kernel is used as an
-    explicit noise component.
+    ``active_dims`` restricts the kernel to a subset of input columns;
+    :func:`nargp_kernel` uses it to split the augmented NARGP inputs.
     """
-
-    def __init__(
-        self, variance: float = 1.0, bounds: Sequence[float] | None = None
-    ) -> None:
-        if not _positive_finite(variance):
-            raise ValueError("variance must be positive and finite")
-        self._log_variance = float(np.log(variance))
-        self._bounds = [_bounds_pair(bounds, _LOG_VARIANCE_BOUNDS)]
-        self._init_active_dims(None)
-
-    @property
-    def variance(self) -> float:
-        return float(np.exp(self._log_variance))
-
-    def __call__(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
-    ) -> np.ndarray:
-        x1 = _as_2d(x1)
-        if x2 is None:
-            return self.variance * np.eye(x1.shape[0])
-        x2 = _as_2d(x2)
-        return np.zeros((x1.shape[0], x2.shape[0]))
-
-    def diag(self, x: np.ndarray) -> np.ndarray:
-        return np.full(_as_2d(x).shape[0], self.variance)
-
-    def gradients(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> np.ndarray:
-        n = _as_2d(x).shape[0]
-        return self.variance * np.eye(n)[None, :, :]
-
-    def value_and_traces(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        variance = self.variance
-        return self(x), lambda inner: np.array(
-            [variance * float(inner.trace())]
-        )
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.array([self._log_variance])
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=float).ravel()
-        if value.size != 1:
-            raise ValueError("WhiteKernel has exactly one parameter")
-        self._log_variance = float(value[0])
-
-    @property
-    def bounds(self) -> list[tuple[float, float]]:
-        return list(self._bounds)
-
-    @property
-    def param_names(self) -> list[str]:
-        return ["white.variance"]
-
-
-class _Stationary(_ActiveDimsMixin, Kernel):
-    """Common machinery for ARD stationary kernels (RBF / Matern)."""
-
-    _prefix = "stationary"
 
     def __init__(
         self,
@@ -364,15 +158,18 @@ class _Stationary(_ActiveDimsMixin, Kernel):
         variance: float = 1.0,
         lengthscales: float | Sequence[float] | np.ndarray = 1.0,
         active_dims: Sequence[int] | np.ndarray | None = None,
-        variance_bounds: Sequence[float] | None = None,
-        lengthscale_bounds: Sequence[float] | None = None,
     ) -> None:
-        self._init_active_dims(active_dims)
-        if self.active_dims is not None and len(self.active_dims) != input_dim:
-            raise ValueError(
-                f"input_dim={input_dim} does not match "
-                f"{len(self.active_dims)} active dims"
-            )
+        if active_dims is None:
+            self.active_dims = None
+        else:
+            dims = np.asarray(active_dims, dtype=int).ravel()
+            if dims.size == 0:
+                raise ValueError("active_dims must not be empty")
+            if dims.size != input_dim:
+                raise ValueError(
+                    f"input_dim={input_dim} does not match {dims.size} active dims"
+                )
+            self.active_dims = dims
         if input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         self.input_dim = int(input_dim)
@@ -382,9 +179,7 @@ class _Stationary(_ActiveDimsMixin, Kernel):
                 "variance and lengthscales must be positive and finite"
             )
         self._set_log_params(float(np.log(variance)), np.log(scales))
-        vb = _bounds_pair(variance_bounds, _LOG_VARIANCE_BOUNDS)
-        lb = _bounds_pair(lengthscale_bounds, _LOG_LENGTHSCALE_BOUNDS)
-        self._bounds = [vb] + [lb] * input_dim
+        self._bounds = [_LOG_VARIANCE_BOUNDS] + [_LOG_LENGTHSCALE_BOUNDS] * input_dim
 
     def _set_log_params(
         self, log_variance: float, log_lengthscales: np.ndarray
@@ -443,11 +238,53 @@ class _Stationary(_ActiveDimsMixin, Kernel):
         diffs = x1[:, None, :] - x2[None, :, :]
         return diffs * diffs
 
+    def _slice(self, x: np.ndarray) -> np.ndarray:
+        x = _as_2d(x)
+        if self.active_dims is None:
+            return x
+        return x[:, self.active_dims]
+
     def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
         workspace[self] = self._sq_diffs(x)
 
+    def __call__(
+        self,
+        x1: np.ndarray,
+        x2: np.ndarray | None = None,
+        workspace: dict | None = None,
+    ) -> np.ndarray:
+        return self._from_sq_diffs(self._sq_diffs(x1, x2, workspace))
+
+    def _from_sq_diffs(self, sq_diffs: np.ndarray) -> np.ndarray:
+        """Covariance from a ``(n1, n2, d)`` :meth:`_sq_diffs` tensor.
+
+        The one place the SE formula is evaluated; callers that already
+        hold the squared differences (NARGP's fused prediction shares one
+        tensor between its two x-factors) skip recomputing them.
+        """
+        return self.variance * np.exp(-0.5 * (sq_diffs @ self._inv_sq_lengthscales))
+
     def diag(self, x: np.ndarray) -> np.ndarray:
         return np.full(_as_2d(x).shape[0], self.variance)
+
+    def value_and_traces(
+        self, x: np.ndarray, workspace: dict | None = None
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        sq_diffs = self._sq_diffs(x, None, workspace)
+        k = self._from_sq_diffs(sq_diffs)
+        inv_sq = self._inv_sq_lengthscales
+
+        def traces(inner: np.ndarray) -> np.ndarray:
+            # dK/d log(variance) = K, dK/d log(l_i) = K * sq_diffs_i / l_i^2,
+            # each contracted as one (n^2,) @ (n^2, d) mat-vec.
+            w = inner * k
+            n2 = w.size
+            out = np.empty(1 + inv_sq.size)
+            out[0] = w.sum()
+            out[1:] = (w.reshape(n2) @ sq_diffs.reshape(n2, -1)) * inv_sq
+            return out
+
+        return k, traces
 
     @property
     def theta(self) -> np.ndarray:
@@ -468,160 +305,9 @@ class _Stationary(_ActiveDimsMixin, Kernel):
 
     @property
     def param_names(self) -> list[str]:
-        names = [f"{self._prefix}.variance"]
-        names += [f"{self._prefix}.lengthscale[{i}]" for i in range(self.input_dim)]
+        names = ["rbf.variance"]
+        names += [f"rbf.lengthscale[{i}]" for i in range(self.input_dim)]
         return names
-
-
-class RBF(_Stationary):
-    """Squared-exponential (SE) ARD kernel — paper eq. (2).
-
-    ``k(x1, x2) = variance * exp(-0.5 * sum_i ((x1_i - x2_i) / l_i)^2)``
-    """
-
-    _prefix = "rbf"
-
-    def __call__(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
-    ) -> np.ndarray:
-        return self._from_sq_diffs(self._sq_diffs(x1, x2, workspace))
-
-    def _from_sq_diffs(self, sq_diffs: np.ndarray) -> np.ndarray:
-        """Covariance from a ``(n1, n2, d)`` :meth:`_sq_diffs` tensor.
-
-        The one place the SE formula is evaluated; callers that already
-        hold the squared differences (NARGP's fused prediction shares one
-        tensor between its two x-factors) skip recomputing them.
-        """
-        return self.variance * np.exp(-0.5 * (sq_diffs @ self._inv_sq_lengthscales))
-
-    def gradients(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> np.ndarray:
-        sq_per_dim = self._sq_diffs(x, None, workspace) * self._inv_sq_lengthscales
-        k = self.variance * np.exp(-0.5 * np.sum(sq_per_dim, axis=2))
-        grads = np.empty((self.n_params, k.shape[0], k.shape[1]))
-        grads[0] = k  # d/d log(variance)
-        grads[1:] = k[None, :, :] * np.moveaxis(sq_per_dim, 2, 0)  # d/d log(l_i)
-        return grads
-
-    def value_and_traces(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        sq_diffs = self._sq_diffs(x, None, workspace)
-        k = self._from_sq_diffs(sq_diffs)
-        inv_sq = self._inv_sq_lengthscales
-
-        def traces(inner: np.ndarray) -> np.ndarray:
-            # dK/d log(variance) = K, dK/d log(l_i) = K * sq_diffs_i / l_i^2.
-            w = inner * k
-            out = np.empty(1 + inv_sq.size)
-            out[0] = w.sum()
-            out[1:] = _sq_traces(w, sq_diffs, inv_sq)
-            return out
-
-        return k, traces
-
-
-class Matern32(_Stationary):
-    """Matern 3/2 ARD kernel: ``variance * (1 + sqrt(3) r) exp(-sqrt(3) r)``."""
-
-    _prefix = "matern32"
-
-    def __call__(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
-    ) -> np.ndarray:
-        sq_diffs = self._sq_diffs(x1, x2, workspace)
-        r = np.sqrt(sq_diffs @ self._inv_sq_lengthscales)
-        return self.variance * (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
-
-    def gradients(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> np.ndarray:
-        sq_per_dim = self._sq_diffs(x, None, workspace) * self._inv_sq_lengthscales
-        r = np.sqrt(np.sum(sq_per_dim, axis=2))
-        expart = np.exp(-_SQRT3 * r)
-        k = self.variance * (1.0 + _SQRT3 * r) * expart
-        grads = np.empty((self.n_params, k.shape[0], k.shape[1]))
-        grads[0] = k
-        base = 3.0 * self.variance * expart
-        grads[1:] = base[None, :, :] * np.moveaxis(sq_per_dim, 2, 0)
-        return grads
-
-    def value_and_traces(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        sq_diffs = self._sq_diffs(x, None, workspace)
-        inv_sq = self._inv_sq_lengthscales
-        r = np.sqrt(sq_diffs @ inv_sq)
-        expart = np.exp(-_SQRT3 * r)
-        k = self.variance * (1.0 + _SQRT3 * r) * expart
-        weight = 3.0 * self.variance * expart
-
-        def traces(inner: np.ndarray) -> np.ndarray:
-            out = np.empty(1 + inv_sq.size)
-            out[0] = (inner * k).sum()
-            out[1:] = _sq_traces(inner * weight, sq_diffs, inv_sq)
-            return out
-
-        return k, traces
-
-
-class Matern52(_Stationary):
-    """Matern 5/2 ARD kernel:
-    ``variance * (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r)``.
-    """
-
-    _prefix = "matern52"
-
-    def __call__(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
-    ) -> np.ndarray:
-        sq_diffs = self._sq_diffs(x1, x2, workspace)
-        r = np.sqrt(sq_diffs @ self._inv_sq_lengthscales)
-        poly = 1.0 + _SQRT5 * r + (5.0 / 3.0) * r * r
-        return self.variance * poly * np.exp(-_SQRT5 * r)
-
-    def gradients(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> np.ndarray:
-        sq_per_dim = self._sq_diffs(x, None, workspace) * self._inv_sq_lengthscales
-        r = np.sqrt(np.sum(sq_per_dim, axis=2))
-        expart = np.exp(-_SQRT5 * r)
-        poly = 1.0 + _SQRT5 * r + (5.0 / 3.0) * r * r
-        k = self.variance * poly * expart
-        grads = np.empty((self.n_params, k.shape[0], k.shape[1]))
-        grads[0] = k
-        base = (5.0 / 3.0) * self.variance * (1.0 + _SQRT5 * r) * expart
-        grads[1:] = base[None, :, :] * np.moveaxis(sq_per_dim, 2, 0)
-        return grads
-
-    def value_and_traces(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        sq_diffs = self._sq_diffs(x, None, workspace)
-        inv_sq = self._inv_sq_lengthscales
-        r = np.sqrt(sq_diffs @ inv_sq)
-        expart = np.exp(-_SQRT5 * r)
-        k = self.variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r * r) * expart
-        weight = (5.0 / 3.0) * self.variance * (1.0 + _SQRT5 * r) * expart
-
-        def traces(inner: np.ndarray) -> np.ndarray:
-            out = np.empty(1 + inv_sq.size)
-            out[0] = (inner * k).sum()
-            out[1:] = _sq_traces(inner * weight, sq_diffs, inv_sq)
-            return out
-
-        return k, traces
 
 
 class _Combination(Kernel):
@@ -643,6 +329,10 @@ class _Combination(Kernel):
 
     def _leaves(self) -> list[Kernel]:
         return [leaf for leaf, _, _ in self._theta_plan]
+
+    def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
+        self.left._build_workspace(x, workspace)
+        self.right._build_workspace(x, workspace)
 
     @property
     def theta(self) -> np.ndarray:
@@ -679,13 +369,6 @@ class Sum(_Combination):
     def diag(self, x: np.ndarray) -> np.ndarray:
         return self.left.diag(x) + self.right.diag(x)
 
-    def gradients(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> np.ndarray:
-        return np.concatenate(
-            [self.left.gradients(x, workspace), self.right.gradients(x, workspace)]
-        )
-
     def value_and_traces(
         self, x: np.ndarray, workspace: dict | None = None
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -696,10 +379,6 @@ class Sum(_Combination):
             return np.concatenate([left_traces(inner), right_traces(inner)])
 
         return k_left + k_right, traces
-
-    def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
-        self.left._build_workspace(x, workspace)
-        self.right._build_workspace(x, workspace)
 
 
 class Product(_Combination):
@@ -716,15 +395,6 @@ class Product(_Combination):
     def diag(self, x: np.ndarray) -> np.ndarray:
         return self.left.diag(x) * self.right.diag(x)
 
-    def gradients(
-        self, x: np.ndarray, workspace: dict | None = None
-    ) -> np.ndarray:
-        k_left = self.left(x, workspace=workspace)
-        k_right = self.right(x, workspace=workspace)
-        grads_left = self.left.gradients(x, workspace) * k_right[None, :, :]
-        grads_right = self.right.gradients(x, workspace) * k_left[None, :, :]
-        return np.concatenate([grads_left, grads_right])
-
     def value_and_traces(
         self, x: np.ndarray, workspace: dict | None = None
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -739,36 +409,29 @@ class Product(_Combination):
 
         return k_left * k_right, traces
 
-    def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
-        self.left._build_workspace(x, workspace)
-        self.right._build_workspace(x, workspace)
 
-
-def nargp_kernel(input_dim: int, n_outputs_low: int = 1) -> Kernel:
+def nargp_kernel(input_dim: int) -> Kernel:
     """Build the NARGP fusion kernel of the paper, eq. (9).
 
     The high-fidelity GP sees augmented inputs ``[x, f_l(x)]`` where the
-    last ``n_outputs_low`` columns hold the low-fidelity posterior mean.
-    The kernel is::
+    last column holds the low-fidelity posterior mean. The kernel is::
 
         k_h = k1(f_l(x1), f_l(x2)) * k2(x1, x2) + k3(x1, x2)
 
     with all three factors squared-exponential, exactly as the paper
-    specifies.
+    specifies. :class:`repro.mf.NARGP` reads the factors back off this
+    tree as ``kernel.left.left``, ``kernel.left.right`` and
+    ``kernel.right``.
 
     Parameters
     ----------
     input_dim:
         Dimensionality of the raw design vector ``x``.
-    n_outputs_low:
-        Number of appended low-fidelity output columns (1 for a scalar
-        low-fidelity model).
     """
-    if input_dim < 1 or n_outputs_low < 1:
-        raise ValueError("input_dim and n_outputs_low must be >= 1")
+    if input_dim < 1:
+        raise ValueError("input_dim must be >= 1")
     x_dims = np.arange(input_dim)
-    f_dims = np.arange(input_dim, input_dim + n_outputs_low)
-    k1 = RBF(n_outputs_low, active_dims=f_dims)
+    k1 = RBF(1, active_dims=[input_dim])
     k2 = RBF(input_dim, active_dims=x_dims)
     k3 = RBF(input_dim, active_dims=x_dims)
     return k1 * k2 + k3

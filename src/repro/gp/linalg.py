@@ -29,7 +29,6 @@ __all__ = [
     "log_det_from_chol",
     "symmetrize",
     "chol_append",
-    "chol_rank1_update",
 ]
 
 #: Ladder of jitter magnitudes tried (relative to the mean diagonal) before
@@ -184,29 +183,4 @@ def chol_append(
     out[:n, :n] = lower
     out[n:, :n] = l21
     out[n:, n:] = l22
-    return out
-
-
-def chol_rank1_update(lower: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``A + v v^T`` from that of ``A``.
-
-    Classic ``O(n^2)`` hyperbolic-rotation update (Gill, Golub, Murray &
-    Saunders 1974). The input factor is not modified.
-    """
-    lower = np.asarray(lower, dtype=float)
-    v = np.asarray(v, dtype=float).ravel().copy()
-    n = lower.shape[0]
-    if lower.shape != (n, n) or v.size != n:
-        raise ValueError(
-            f"shape mismatch: lower {lower.shape}, v {v.shape}"
-        )
-    out = lower.copy()
-    for k in range(n):
-        r = np.hypot(out[k, k], v[k])
-        c = r / out[k, k]
-        s = v[k] / out[k, k]
-        out[k, k] = r
-        if k + 1 < n:
-            out[k + 1 :, k] = (out[k + 1 :, k] + s * v[k + 1 :]) / c
-            v[k + 1 :] = c * v[k + 1 :] - s * out[k + 1 :, k]
     return out

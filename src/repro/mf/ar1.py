@@ -17,6 +17,9 @@ from ..rng import ensure_rng
 
 __all__ = ["AR1"]
 
+#: Number of ``rho`` values tried on the grid around the OLS seed.
+_RHO_GRID_SIZE = 21
+
 
 class AR1:
     """Kennedy-O'Hagan linear two-fidelity co-kriging model.
@@ -27,17 +30,8 @@ class AR1:
     produces.
     """
 
-    def __init__(
-        self,
-        n_restarts: int = 3,
-        noise_variance: float = 1e-4,
-        rho_grid_size: int = 21,
-    ):
-        if rho_grid_size < 1:
-            raise ValueError("rho_grid_size must be >= 1")
+    def __init__(self, n_restarts: int = 3):
         self.n_restarts = int(n_restarts)
-        self.noise_variance = float(noise_variance)
-        self.rho_grid_size = int(rho_grid_size)
         self.rho: float | None = None
         self.low_model: GPR | None = None
         self.delta_model: GPR | None = None
@@ -73,7 +67,7 @@ class AR1:
         if low_model is not None:
             self.low_model = low_model
         else:
-            self.low_model = GPR(noise_variance=self.noise_variance)
+            self.low_model = GPR()
             self.low_model.fit(
                 x_low, y_low, n_restarts=self.n_restarts, rng=rng
             )
@@ -84,10 +78,10 @@ class AR1:
         half_width = max(1.0, abs(rho_seed))
         with span("ar1.fit", n_high=int(x_high.shape[0])):
             for rho in np.linspace(
-                rho_seed - half_width, rho_seed + half_width, self.rho_grid_size
+                rho_seed - half_width, rho_seed + half_width, _RHO_GRID_SIZE
             ):
                 residual = y_high - rho * mu_low
-                model = GPR(noise_variance=self.noise_variance)
+                model = GPR()
                 model.fit(x_high, residual, n_restarts=1, rng=rng)
                 nlml = model.nlml()
                 if nlml < best_nlml:
@@ -123,18 +117,14 @@ class AR1:
         """Restore a model saved with :meth:`state_dict`."""
         self.rho = float(state["rho"])
         if state.get("low") is not None:
-            self.low_model = GPR(
-                noise_variance=self.noise_variance
-            ).load_state_dict(state["low"])
+            self.low_model = GPR().load_state_dict(state["low"])
         elif low_model is not None:
             self.low_model = low_model
         else:
             raise ValueError(
                 "state has no low-fidelity model; pass low_model explicitly"
             )
-        self.delta_model = GPR(
-            noise_variance=self.noise_variance
-        ).load_state_dict(state["delta"])
+        self.delta_model = GPR().load_state_dict(state["delta"])
         return self
 
     def predict_low(self, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..gp.gpr import GPR
+from ..gp.kernels import nargp_kernel
 from ..obs import span
 from ..rng import ensure_rng
-from ..gp.kernels import RBF, Kernel, Product, Sum, nargp_kernel
 
 __all__ = ["NARGP"]
 
@@ -36,13 +36,8 @@ class NARGP:
         low-fidelity posterior in :meth:`predict`.
     n_restarts:
         Hyperparameter-training restarts for both internal GPs.
-    noise_variance:
-        Initial observation-noise variance of both GPs.
-    joint_low_samples:
-        If ``True``, low-fidelity posterior samples are drawn jointly
-        across test points (full covariance); otherwise independently per
-        point as the paper describes. Joint sampling is more faithful for
-        dense grids but cubic in the number of test points.
+    max_opt_iter:
+        L-BFGS-B iteration cap per restart of both internal GPs.
 
     Examples
     --------
@@ -63,23 +58,16 @@ class NARGP:
         self,
         n_mc_samples: int = 64,
         n_restarts: int = 3,
-        noise_variance: float = 1e-4,
-        joint_low_samples: bool = False,
         max_opt_iter: int = 100,
     ):
         if n_mc_samples < 1:
             raise ValueError("n_mc_samples must be >= 1")
         self.n_mc_samples = int(n_mc_samples)
         self.n_restarts = int(n_restarts)
-        self.noise_variance = float(noise_variance)
-        self.joint_low_samples = bool(joint_low_samples)
         self.max_opt_iter = int(max_opt_iter)
         self.low_model: GPR | None = None
         self.high_model: GPR | None = None
         self._dim: int | None = None
-        # (kernel, d, factors) of the last high-model kernel resolved by
-        # _eq9_factors: the structure check runs once per kernel object.
-        self._eq9: tuple | None = None
 
     # ------------------------------------------------------------------
     # training
@@ -119,18 +107,13 @@ class NARGP:
         if low_model is not None:
             self.low_model = low_model
         else:
-            self.low_model = GPR(
-                noise_variance=self.noise_variance,
-                max_opt_iter=self.max_opt_iter,
-            )
+            self.low_model = GPR(max_opt_iter=self.max_opt_iter)
             self.low_model.fit(x_low, y_low, n_restarts=self.n_restarts, rng=rng)
 
         mu_low_at_high = self.low_model.predict_mean(x_high)
         augmented = np.column_stack([x_high, mu_low_at_high])
         self.high_model = GPR(
-            kernel=nargp_kernel(self._dim),
-            noise_variance=self.noise_variance,
-            max_opt_iter=self.max_opt_iter,
+            kernel=nargp_kernel(self._dim), max_opt_iter=self.max_opt_iter
         )
         with span("nargp.fit", n_high=int(x_high.shape[0])):
             self.high_model.fit(
@@ -164,10 +147,9 @@ class NARGP:
         """Restore a model saved with :meth:`state_dict`."""
         self._dim = int(state["dim"])
         if state.get("low") is not None:
-            self.low_model = GPR(
-                noise_variance=self.noise_variance,
-                max_opt_iter=self.max_opt_iter,
-            ).load_state_dict(state["low"])
+            self.low_model = GPR(max_opt_iter=self.max_opt_iter).load_state_dict(
+                state["low"]
+            )
         elif low_model is not None:
             self.low_model = low_model
         else:
@@ -175,9 +157,7 @@ class NARGP:
                 "state has no low-fidelity model; pass low_model explicitly"
             )
         self.high_model = GPR(
-            kernel=nargp_kernel(self._dim),
-            noise_variance=self.noise_variance,
-            max_opt_iter=self.max_opt_iter,
+            kernel=nargp_kernel(self._dim), max_opt_iter=self.max_opt_iter
         ).load_state_dict(state["high"])
         return self
 
@@ -223,26 +203,12 @@ class NARGP:
                 "requested, fused prediction needs at least one"
             )
         x_star = np.atleast_2d(np.asarray(x_star, dtype=float))
-        n = x_star.shape[0]
-
+        mu_low, var_low = self.low_model.predict(x_star)
         if z is not None:
-            mu_low, var_low = self.low_model.predict(x_star)
-            low_samples = (
-                mu_low[None, :] + np.sqrt(var_low)[None, :] * z[:, None]
-            )
+            draws = z[:, None]  # one draw per sample, shared by every point
         else:
-            rng = ensure_rng(rng)
-            if self.joint_low_samples:
-                low_samples = self.low_model.sample_posterior(
-                    x_star, n_mc, rng=rng
-                )
-            else:
-                mu_low, var_low = self.low_model.predict(x_star)
-                std_low = np.sqrt(var_low)
-                low_samples = (
-                    mu_low[None, :]
-                    + std_low[None, :] * rng.standard_normal((n_mc, n))
-                )
+            draws = ensure_rng(rng).standard_normal((n_mc, x_star.shape[0]))
+        low_samples = mu_low[None, :] + np.sqrt(var_low)[None, :] * draws
 
         mu_s, var_s = self._fused_predict_batched(x_star, low_samples)
         # Sum then divide is what np.mean does, without its per-call
@@ -258,25 +224,18 @@ class NARGP:
         """High-fidelity posterior for a ``(n_mc, m)`` stack of
         low-fidelity samples, as one batched linear-algebra pass.
 
-        When the high GP carries the paper's eq. 9 structure
-        ``k1(f, f') * k2(x, x') + k3(x, x')``, the x-dependent factors
-        ``k2``/``k3`` are identical across all Monte-Carlo samples and are
-        evaluated once on ``(m, n_train)`` instead of ``n_mc`` times; only
-        the cheap 1-D ``k1`` factor is evaluated on the full stack. Any
-        other kernel falls back to a generic stacked
-        :meth:`~repro.gp.GPR.predict_multi` call.
+        The high GP's kernel is eq. 9's ``k1(f, f') * k2(x, x') +
+        k3(x, x')`` as :func:`~repro.gp.kernels.nargp_kernel` builds it.
+        The x-dependent factors ``k2``/``k3`` are identical across all
+        Monte-Carlo samples and are evaluated once on ``(m, n_train)``
+        instead of ``n_mc`` times; only the cheap 1-D ``k1`` factor is
+        evaluated on the full stack.
         """
         high = self.high_model
         n_mc, n = low_samples.shape
         d = x_star.shape[1]
-        factors = self._eq9_factors(high.kernel, d)
-        if factors is None:
-            augmented = np.empty((n_mc, n, d + 1))
-            augmented[:, :, :-1] = x_star[None, :, :]
-            augmented[:, :, -1] = low_samples
-            return high.predict_multi(augmented)
-
-        k1, k2, k3 = factors
+        kernel = high.kernel
+        k1, k2, k3 = kernel.left.left, kernel.left.right, kernel.right
         x_train = high.x_train  # augmented training inputs (n_h, d + 1)
         # k2 and k3 share their active dims, hence one (m, n_h, d)
         # squared-difference tensor; the f column never enters it.
@@ -302,33 +261,6 @@ class NARGP:
             stacked.reshape(n_mc * n, -1), prior_diag
         )
         return mu.reshape(n_mc, n), var.reshape(n_mc, n)
-
-    def _eq9_factors(self, kernel: Kernel, d: int) -> tuple[RBF, RBF, RBF] | None:
-        """``(k1, k2, k3)`` when ``kernel`` is eq. 9's
-        ``k1(f, f') * k2(x, x') + k3(x, x')`` over ``d`` design columns
-        and one low-fidelity column, else ``None``.
-
-        The answer depends only on the kernel tree, so it is worked out
-        once per high-model kernel object and ``d``.
-        """
-        cached = self._eq9
-        if cached is not None and cached[0] is kernel and cached[1] == d:
-            return cached[2]
-        factors: tuple[RBF, RBF, RBF] | None = None
-        if isinstance(kernel, Sum) and isinstance(kernel.left, Product):
-            k1, k2, k3 = kernel.left.left, kernel.left.right, kernel.right
-            x_dims = np.arange(d)
-            if (
-                isinstance(k1, RBF)
-                and isinstance(k2, RBF)
-                and isinstance(k3, RBF)
-                and np.array_equal(k1.active_dims, [d])
-                and np.array_equal(k2.active_dims, x_dims)
-                and np.array_equal(k3.active_dims, x_dims)
-            ):
-                factors = (k1, k2, k3)
-        self._eq9 = (kernel, d, factors)
-        return factors
 
     def predict_mean_path(
         self, x_star: np.ndarray

@@ -1,10 +1,10 @@
 """Multi-objective multi-fidelity optimization subsystem.
 
 Layers a Pareto-front workflow on top of the existing NARGP/AR1 fusion
-models: constrained-domination archive (:mod:`.pareto`), exact and
-Monte-Carlo hypervolume indicators (:mod:`.hypervolume`), EHVI and
-ParEGO acquisitions (:mod:`.acquisition`), and the
-:class:`MOMFBOptimizer` ask/tell strategy (:mod:`.optimizer`).
+models: constrained-domination archive (:mod:`.pareto`), exact hypervolume
+indicators (:mod:`.hypervolume`), EHVI and ParEGO acquisitions
+(:mod:`.acquisition`), and the :class:`MOMFBOptimizer` ask/tell strategy
+(:mod:`.optimizer`).
 """
 
 from .acquisition import (
@@ -17,7 +17,6 @@ from .hypervolume import (
     exclusive_hypervolume,
     hypervolume,
     hypervolume_contributions,
-    monte_carlo_hypervolume,
 )
 from .optimizer import MOMFBOptimizer
 from .pareto import (
@@ -38,7 +37,6 @@ __all__ = [
     "hypervolume",
     "exclusive_hypervolume",
     "hypervolume_contributions",
-    "monte_carlo_hypervolume",
     "dominates",
     "non_dominated_mask",
     "constrained_non_dominated_mask",

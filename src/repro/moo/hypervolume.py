@@ -1,4 +1,4 @@
-"""Exact and Monte-Carlo hypervolume indicators (minimization).
+"""Exact hypervolume indicators (minimization).
 
 The hypervolume of a point set ``F`` w.r.t. a reference point ``r`` is
 the Lebesgue measure of the region dominated by ``F`` and bounded by
@@ -12,9 +12,6 @@ quantity the ``tab5`` experiment plots against simulation cost.
   contributions ``inclhv(p_k) - hv(limitset)``, with non-dominated
   pruning of every limit set. Exact for any dimension; practical for
   the front sizes a BO archive produces (tens of points).
-* :func:`monte_carlo_hypervolume` — a brute-force uniform-sampling
-  estimator over the ``[ideal, ref]`` bounding box, used by the
-  property tests to pin the exact implementations.
 
 Points that do not strictly dominate the reference point contribute
 nothing and are filtered on entry, so callers may pass raw fronts.
@@ -37,14 +34,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..rng import ensure_rng
 from .pareto import non_dominated_mask
 
 __all__ = [
     "hypervolume",
     "exclusive_hypervolume",
     "hypervolume_contributions",
-    "monte_carlo_hypervolume",
 ]
 
 Point = tuple[float, ...]
@@ -228,31 +223,3 @@ def mean_exclusive_hypervolume(
                 gain += _exclusive(p, rows, r)
         means[i] = gain / n_draws
     return means
-
-
-def monte_carlo_hypervolume(
-    points: np.ndarray,
-    ref: np.ndarray,
-    n_samples: int = 20_000,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Uniform-sampling hypervolume estimate over the ``[ideal, ref]`` box.
-
-    The dominated region is contained in the box spanned by the
-    componentwise minimum of the front and the reference point (every
-    dominated ``z`` satisfies ``z >= p >= ideal`` for some front point
-    ``p``), so the estimate is unbiased with standard
-    ``O(1 / sqrt(n_samples))`` error.
-    """
-    ref = np.asarray(ref, dtype=float).ravel()
-    front = _clean_front(points, ref)
-    if front.shape[0] == 0:
-        return 0.0
-    rng = ensure_rng(rng)
-    ideal = front.min(axis=0)
-    box = np.prod(ref - ideal)
-    samples = rng.uniform(ideal, ref, size=(int(n_samples), ref.size))
-    dominated = np.any(
-        np.all(front[None, :, :] <= samples[:, None, :], axis=2), axis=1
-    )
-    return float(box * np.mean(dominated))

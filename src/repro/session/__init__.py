@@ -7,16 +7,16 @@ simulate-in-the-loop control flow:
   (``suggest``/``observe``/``state_dict``).
 * :class:`OptimizationSession` — drives a strategy against an
   injectable :class:`Evaluator`, with JSON checkpoint/resume.
-* :class:`SerialEvaluator` / :class:`ProcessPoolEvaluator` — evaluation
-  backends (in-process, or parallel across worker processes).
-* :class:`AsyncEvaluator` — the fault-tolerant farm: out-of-order
-  completion, per-evaluation timeouts, retry with backoff, worker-death
-  recovery (see :mod:`repro.session.farm`).
+* :class:`SerialEvaluator` — the in-process evaluation backend.
+* :class:`AsyncEvaluator` — the fault-tolerant farm across worker
+  processes: ordered batches or out-of-order completion, per-evaluation
+  timeouts, retry with backoff, worker-death recovery (see
+  :mod:`repro.session.farm`).
 * :class:`FaultInjectingEvaluator` / :class:`FaultSpec` — deterministic
   seeded fault injection for chaos testing.
 """
 
-from .evaluators import Evaluator, ProcessPoolEvaluator, SerialEvaluator
+from .evaluators import Evaluator, SerialEvaluator
 from .farm import (
     AsyncEvaluator,
     EvalResult,
@@ -38,7 +38,6 @@ __all__ = [
     "Suggestion",
     "Evaluator",
     "SerialEvaluator",
-    "ProcessPoolEvaluator",
     "AsyncEvaluator",
     "EvalResult",
     "FaultInjectingEvaluator",

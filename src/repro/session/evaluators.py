@@ -1,35 +1,25 @@
 """Evaluation backends: how a batch of suggestions gets simulated.
 
 The session API decouples *suggesting* designs from *evaluating* them;
-an :class:`Evaluator` is the injectable evaluation half. Two backends
-ship with the library:
+an :class:`Evaluator` is the injectable evaluation half.
+:class:`SerialEvaluator` evaluates in-process, one suggestion at a time
+(the default; bit-for-bit equivalent to the legacy ``run()`` loops).
 
-* :class:`SerialEvaluator` — evaluate in-process, one suggestion at a
-  time (the default; bit-for-bit equivalent to the legacy ``run()``
-  loops).
-* :class:`ProcessPoolEvaluator` — fan a batch out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`, for simulation-bound
-  problems whose evaluations dominate the iteration cost. Results come
-  back in suggestion order, so batched runs stay reproducible.
-
-Both are *barrier* evaluators: ``evaluate`` returns only when the whole
-batch is done. :class:`repro.session.farm.AsyncEvaluator` adds the
-streaming, fault-tolerant alternative (out-of-order completion,
-timeouts, retries, worker-death recovery).
+For simulation-bound problems, :class:`repro.session.farm.AsyncEvaluator`
+evaluates in worker processes. Its ``evaluate`` is the same ordered
+barrier (results come back in suggestion order, so batched runs stay
+reproducible), and it also streams results out of order with timeouts,
+retries and worker-death recovery.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
-
-import numpy as np
 
 from ..problems.base import Evaluation, Problem
 from .protocol import Suggestion
 
-__all__ = ["Evaluator", "SerialEvaluator", "ProcessPoolEvaluator"]
+__all__ = ["Evaluator", "SerialEvaluator"]
 
 
 class Evaluator:
@@ -59,75 +49,3 @@ class SerialEvaluator(Evaluator):
         return [
             problem.evaluate_unit(s.x_unit, s.fidelity) for s in suggestions
         ]
-
-
-def _evaluate_chunk(
-    payload: tuple[Problem, list[tuple[np.ndarray, str]]],
-) -> list[Evaluation]:
-    """Module-level worker so the pool can pickle it.
-
-    Receives one contiguous chunk of suggestions so the (potentially
-    large) problem object is pickled once per worker, not once per
-    suggestion.
-    """
-    problem, points = payload
-    return [
-        problem.evaluate_unit(x_unit, fidelity) for x_unit, fidelity in points
-    ]
-
-
-class ProcessPoolEvaluator(Evaluator):
-    """Evaluate a batch of suggestions in parallel worker processes.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size; defaults to ``os.cpu_count()``. Each batch is split
-        into one contiguous chunk per busy worker and the problem object
-        is shipped once per chunk, so it must be picklable (all built-in
-        problems and circuit testbenches are).
-
-    Notes
-    -----
-    Single-suggestion batches skip the pool entirely — the pickling
-    round trip would dominate for cheap problems. The pool is created
-    lazily on first use and survives across batches; call :meth:`close`
-    (or use the evaluator as a context manager) to shut it down.
-    """
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        self.max_workers = max_workers or os.cpu_count() or 1
-        self._pool: ProcessPoolExecutor | None = None
-        self._serial = SerialEvaluator()
-
-    def _get_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def evaluate(
-        self, problem: Problem, suggestions: Sequence[Suggestion]
-    ) -> list[Evaluation]:
-        if len(suggestions) <= 1:
-            return self._serial.evaluate(problem, suggestions)
-        n_chunks = min(self.max_workers, len(suggestions))
-        # Contiguous split, so concatenating the chunk results restores
-        # suggestion order.
-        bounds = np.linspace(0, len(suggestions), n_chunks + 1).astype(int)
-        payloads = [
-            (
-                problem,
-                [(s.x_unit, s.fidelity) for s in suggestions[lo:hi]],
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        chunk_results = self._get_pool().map(_evaluate_chunk, payloads)
-        return [evaluation for chunk in chunk_results for evaluation in chunk]
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None

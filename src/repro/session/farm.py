@@ -145,9 +145,8 @@ class AsyncEvaluator(Evaluator):
     -----
     The streaming API is ``submit()`` + ``next_result()`` /
     ``as_completed()``; :meth:`evaluate` adapts the farm to the ordered
-    barrier contract of :class:`repro.session.Evaluator`, so it is also
-    a drop-in (fault-tolerant) replacement for
-    :class:`repro.session.ProcessPoolEvaluator` with any strategy.
+    barrier contract of :class:`repro.session.Evaluator`, so it also
+    simulates the batches of any strategy in parallel.
     """
 
     def __init__(

@@ -130,8 +130,8 @@ class OptimizationSession:
         protocol.
     evaluator:
         Evaluation backend; defaults to :class:`SerialEvaluator`. Pass a
-        :class:`repro.session.ProcessPoolEvaluator` to simulate batches
-        in parallel.
+        :class:`repro.session.AsyncEvaluator` to simulate batches in
+        parallel.
     checkpoint_path, checkpoint_every:
         With ``checkpoint_path`` set, :meth:`run` saves a checkpoint
         there on completion; with ``checkpoint_every`` additionally set,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gp import GPR, RBF, ConstantMean
+from repro.gp import GPR, RBF
 from repro.gp.linalg import CholeskyError
 
 
@@ -73,14 +73,6 @@ class TestFitPredict:
         _, var_noisy = model.predict(x, include_noise=True)
         _, var_clean = model.predict(x, include_noise=False)
         assert np.all(var_noisy > var_clean)
-
-    def test_custom_mean_function(self, rng):
-        x = rng.random((10, 1))
-        y = 5.0 + 0.01 * rng.standard_normal(10)
-        model = GPR(mean=ConstantMean(5.0), normalize_y=False)
-        model.fit(x, y, n_restarts=1, rng=rng)
-        mu, _ = model.predict(np.array([[10.0]]))  # far from data
-        assert mu[0] == pytest.approx(5.0, abs=0.5)
 
     def test_custom_kernel_used(self, rng):
         kernel = RBF(1, lengthscales=0.2)
@@ -167,23 +159,6 @@ class TestEveryRestartFails:
         np.testing.assert_allclose(mu, self.y, atol=1e-2)
 
 
-class TestSampling:
-    def test_posterior_samples_match_moments(self, rng):
-        x = np.linspace(0, 1, 10)[:, None]
-        y = np.sin(4 * x[:, 0])
-        model = GPR().fit(x, y, n_restarts=2, rng=rng)
-        grid = np.array([[0.25], [0.75]])
-        samples = model.sample_posterior(grid, n_samples=4000, rng=rng)
-        mu, _ = model.predict(grid, include_noise=False)
-        np.testing.assert_allclose(samples.mean(axis=0), mu, atol=0.05)
-
-    def test_sample_shape(self, rng):
-        model = GPR().fit(rng.random((6, 1)), rng.random(6),
-                          n_restarts=0, rng=rng)
-        samples = model.sample_posterior(rng.random((5, 1)), 7, rng=rng)
-        assert samples.shape == (7, 5)
-
-
 class TestValidation:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):
@@ -215,10 +190,6 @@ class TestValidation:
     def test_nlml_before_fit_raises(self):
         with pytest.raises(RuntimeError, match="model has not been fit"):
             GPR().nlml()
-
-    def test_log_likelihood_before_fit_raises(self):
-        with pytest.raises(RuntimeError, match="model has not been fit"):
-            GPR().log_likelihood()
 
     def test_n_train_and_properties(self, rng):
         model = GPR()

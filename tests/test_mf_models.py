@@ -74,16 +74,6 @@ class TestNARGP:
         )
         assert model.low_model is low_gp
 
-    def test_joint_low_samples_mode(self):
-        rng = np.random.default_rng(5)
-        x_low = np.linspace(0, 1, 20)[:, None]
-        x_high = np.sort(rng.random(6))[:, None]
-        model = NARGP(n_restarts=1, n_mc_samples=16, joint_low_samples=True)
-        model.fit(x_low, pedagogical_low(x_low),
-                  x_high, pedagogical_high(x_high), rng=rng)
-        mu, var = model.predict(np.linspace(0, 1, 10)[:, None], rng=rng)
-        assert np.all(np.isfinite(mu)) and np.all(var > 0)
-
     def test_unfit_raises(self):
         with pytest.raises(RuntimeError):
             NARGP().predict(np.array([[0.5]]))
@@ -180,7 +170,3 @@ class TestAR1:
     def test_unfit_raises(self):
         with pytest.raises(RuntimeError):
             AR1().predict(np.array([[0.5]]))
-
-    def test_invalid_constructor(self):
-        with pytest.raises(ValueError):
-            AR1(rho_grid_size=0)

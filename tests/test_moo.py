@@ -24,7 +24,6 @@ from repro.moo import (
     exclusive_hypervolume,
     hypervolume,
     hypervolume_contributions,
-    monte_carlo_hypervolume,
     non_dominated_mask,
     non_dominated_sort,
 )
@@ -119,6 +118,28 @@ def oracle_hypervolume_contributions(points, ref):
             for i in range(f.shape[0])
         ]
     )
+
+
+def monte_carlo_hypervolume(points, ref, n_samples, rng):
+    """Uniform-sampling hypervolume estimate over the ``[ideal, ref]`` box.
+
+    The dominated region is contained in the box spanned by the
+    componentwise minimum of the front and the reference point (every
+    dominated ``z`` satisfies ``z >= p >= ideal`` for some front point
+    ``p``), so the estimate is unbiased with standard
+    ``O(1 / sqrt(n_samples))`` error.
+    """
+    ref = np.asarray(ref, dtype=float).ravel()
+    front = _oracle_clean_front(points, ref)
+    if front.shape[0] == 0:
+        return 0.0
+    ideal = front.min(axis=0)
+    box = np.prod(ref - ideal)
+    samples = rng.uniform(ideal, ref, size=(int(n_samples), ref.size))
+    dominated = np.any(
+        np.all(front[None, :, :] <= samples[:, None, :], axis=2), axis=1
+    )
+    return float(box * np.mean(dominated))
 
 
 def _bits(x):

@@ -19,20 +19,11 @@ from scipy.linalg import solve_triangular as scipy_solve_triangular
 
 from repro.core import MFBOptimizer
 from repro.gp import GPR
-from repro.gp.kernels import (
-    RBF,
-    Matern32,
-    Matern52,
-    Product,
-    Sum,
-    WhiteKernel,
-    nargp_kernel,
-)
+from repro.gp.kernels import RBF, Product, Sum, nargp_kernel
 from repro.gp.linalg import (
     JITTER_LADDER,
     CholeskyError,
     chol_append,
-    chol_rank1_update,
     jitter_cholesky,
 )
 from repro.mf import NARGP
@@ -43,63 +34,54 @@ from repro.problems import ForresterProblem, pedagogical_high, pedagogical_low
 # ---------------------------------------------------------------------------
 # kernel workspace caching
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize(
+KERNELS = pytest.mark.parametrize(
     "make_kernel",
     [
         lambda: RBF(4, variance=1.7, lengthscales=[0.3, 1.0, 2.0, 0.7]),
-        lambda: Matern32(4, variance=0.9, lengthscales=0.5),
-        lambda: Matern52(4, variance=2.1, lengthscales=1.4),
-        lambda: RBF(4) * Matern32(4) + WhiteKernel(0.01),
+        lambda: RBF(4, variance=0.9, lengthscales=0.5) * RBF(4) + RBF(4),
         lambda: nargp_kernel(3),
     ],
-    ids=["rbf", "matern32", "matern52", "composite", "nargp"],
+    ids=["rbf", "composite", "nargp"],
 )
+
+
+@KERNELS
 def test_workspace_matches_fresh_evaluation(make_kernel):
-    """K(x, x) and gradients from a cached workspace are identical to the
-    fresh computation, including after theta updates."""
+    """K(x, x) and its gradient traces from a cached workspace are
+    identical to the fresh computation, including after theta updates."""
     kernel = make_kernel()
     rng = np.random.default_rng(0)
     x = rng.random((15, 4))
+    w = rng.standard_normal((15, 15))
+    inner = 0.5 * (w + w.T)
     workspace = kernel.make_workspace(x)
 
-    np.testing.assert_array_equal(kernel(x, workspace=workspace), kernel(x))
-    np.testing.assert_array_equal(
-        kernel.gradients(x, workspace=workspace), kernel.gradients(x)
-    )
+    def assert_same():
+        np.testing.assert_array_equal(kernel(x, workspace=workspace), kernel(x))
+        k_ws, traces_ws = kernel.value_and_traces(x, workspace)
+        k, traces = kernel.value_and_traces(x)
+        assert k_ws.tobytes() == k.tobytes()
+        assert traces_ws(inner).tobytes() == traces(inner).tobytes()
 
+    assert_same()
     # The workspace is theta-independent: mutate every hyperparameter and
     # the cached tensors must still reproduce the fresh evaluation.
     kernel.theta = kernel.theta + rng.normal(scale=0.3, size=kernel.n_params)
-    np.testing.assert_array_equal(kernel(x, workspace=workspace), kernel(x))
-    np.testing.assert_array_equal(
-        kernel.gradients(x, workspace=workspace), kernel.gradients(x)
-    )
+    assert_same()
 
 
-@pytest.mark.parametrize(
-    "make_kernel",
-    [
-        lambda: RBF(4, variance=1.7, lengthscales=[0.3, 1.0, 2.0, 0.7]),
-        lambda: Matern32(4, variance=0.9, lengthscales=0.5),
-        lambda: Matern52(4, variance=2.1, lengthscales=1.4),
-        lambda: RBF(4) * Matern32(4) + WhiteKernel(0.01),
-        lambda: nargp_kernel(3),
-    ],
-    ids=["rbf", "matern32", "matern52", "composite", "nargp"],
-)
-def test_gradient_traces_match_gradient_stack(make_kernel):
-    """The closed-form trace contraction equals contracting the full
-    (n_params, n, n) gradient stack, both through ``gradient_traces`` and
-    through the ``traces`` of a ``value_and_traces`` pass, whose ``K`` is
-    ``kernel(x)`` bit for bit."""
+@KERNELS
+def test_gradient_traces_match_gradient_stack(make_kernel, dense_gradients):
+    """The closed-form trace contraction of a ``value_and_traces`` pass,
+    whose ``K`` is ``kernel(x)`` bit for bit, equals contracting the full
+    (n_params, n, n) gradient stack."""
     kernel = make_kernel()
     rng = np.random.default_rng(14)
     x = rng.random((12, 4))
     w = rng.standard_normal((12, 12))
     inner = 0.5 * (w + w.T)
-    reference = np.tensordot(kernel.gradients(x), inner, axes=([1, 2], [0, 1]))
-    np.testing.assert_allclose(
-        kernel.gradient_traces(x, inner), reference, rtol=1e-10, atol=1e-12
+    reference = np.tensordot(
+        dense_gradients(kernel, x), inner, axes=([1, 2], [0, 1])
     )
     k, traces = kernel.value_and_traces(x, kernel.make_workspace(x))
     assert k.tobytes() == kernel(x).tobytes()
@@ -132,7 +114,7 @@ def test_workspace_ignored_for_cross_covariances():
     )
 
 
-def test_nlml_and_grad_matches_reference_formulation():
+def test_nlml_and_grad_matches_reference_formulation(dense_gradients):
     """The workspace-cached, single-Cholesky NLML/gradient equals the
     textbook dense-inverse formulation (the seed implementation)."""
     rng = np.random.default_rng(2)
@@ -159,7 +141,7 @@ def test_nlml_and_grad_matches_reference_formulation():
         )
         k_inv = ref_cho_solve((lower, True), np.eye(n))
         inner = k_inv - np.outer(alpha, alpha)
-        grads = model.kernel.gradients(x)
+        grads = dense_gradients(model.kernel, x)
         ref_grad = np.empty(probe.size)
         for j in range(grads.shape[0]):
             ref_grad[j] = 0.5 * float(np.sum(inner * grads[j]))
@@ -499,15 +481,6 @@ def test_chol_append_rejects_indefinite_block():
         chol_append(lower, cross, np.array([[-5.0]]))
 
 
-def test_chol_rank1_update_matches_refactorization():
-    rng = np.random.default_rng(9)
-    a = _random_spd(rng, 12)
-    v = rng.standard_normal(12)
-    updated = chol_rank1_update(np.linalg.cholesky(a), v)
-    reference = np.linalg.cholesky(a + np.outer(v, v))
-    np.testing.assert_allclose(updated, reference, rtol=1e-8, atol=1e-10)
-
-
 def test_gpr_add_points_matches_full_refit():
     """Incremental posterior extension equals a from-scratch rebuild at
     the same hyperparameters."""
@@ -519,9 +492,7 @@ def test_gpr_add_points_matches_full_refit():
 
     model.add_points(x[15:], y[15:])
 
-    reference = GPR(
-        kernel=RBF(3), noise_variance=model.noise_variance, normalize_y=True
-    )
+    reference = GPR(kernel=RBF(3), noise_variance=model.noise_variance)
     reference.kernel.theta = theta_before
     reference.fit(x, y, optimize=False)
 

@@ -1,5 +1,7 @@
 """The public API surface: everything README advertises must import."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,17 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
 
 
 class TestSubpackageImports:
+    @pytest.mark.parametrize("module_name", sorted(repro._SUBMODULES))
+    def test_all_exports_resolve(self, module_name):
+        """Every name a subpackage lists in ``__all__`` exists, so a class
+        removed from a module cannot linger in its package's exports."""
+        module = importlib.import_module(f"repro.{module_name}")
+        missing = [
+            name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+        assert not missing, f"repro.{module_name}.__all__ lists {missing}"
+
     def test_spice_package(self):
         from repro.spice import (
             ACSolution,

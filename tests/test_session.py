@@ -6,16 +6,18 @@ bit-identical results to the legacy blocking ``run()`` loop at a fixed
 seed.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import (
     GASPAD,
     WEIBO,
+    AsyncEvaluator,
     DEOptimizer,
     MFBOptimizer,
     OptimizationSession,
-    ProcessPoolEvaluator,
     RandomSearchOptimizer,
     SerialEvaluator,
 )
@@ -111,6 +113,34 @@ class TestProtocol:
         with pytest.raises(ValueError):
             optimizer.observe(x, FIDELITY_HIGH, evaluation)
 
+    @pytest.mark.parametrize(
+        "x_unit,fidelity",
+        [
+            ([np.nan, 0.5], FIDELITY_LOW),
+            ([0.5, 0.5, 0.5], FIDELITY_LOW),
+            ([0.5, 0.5], "medium"),
+        ],
+        ids=["non-finite-x", "wrong-length-x", "unknown-fidelity"],
+    )
+    def test_observe_rejects_impossible_design(self, x_unit, fidelity):
+        """A design the problem cannot have raises before anything is
+        recorded or charged, and the run still suggests."""
+        optimizer = make_strategies(0)["mfbo"]
+        problem = optimizer.problem
+        initial = optimizer.suggest(8)
+        evaluation = dataclasses.replace(
+            problem.evaluate_unit(np.array([0.5, 0.5]), FIDELITY_LOW),
+            fidelity=fidelity,
+        )
+        with pytest.raises(ValueError):
+            optimizer.observe(np.array(x_unit), fidelity, evaluation)
+        assert len(optimizer.history) == 0
+        assert optimizer.history.total_cost == 0.0
+        assert optimizer.pending == initial
+        for x, f in initial:
+            optimizer.observe(x, f, problem.evaluate_unit(x, f))
+        assert optimizer.suggest()
+
     def test_callback_fires_per_bo_iteration(self):
         calls = []
         optimizer = MFBOptimizer(
@@ -185,7 +215,7 @@ class TestEvaluators:
             Suggestion(np.array([v]), FIDELITY_HIGH) for v in (0.1, 0.4, 0.9)
         ]
         serial = SerialEvaluator().evaluate(problem, suggestions)
-        with ProcessPoolEvaluator(max_workers=2) as pool:
+        with AsyncEvaluator(max_workers=2) as pool:
             parallel = pool.evaluate(problem, suggestions)
         for a, b in zip(serial, parallel):
             assert a.objective == b.objective
@@ -200,7 +230,7 @@ class TestEvaluators:
             )
 
         serial = OptimizationSession(build()).run(batch_size=2)
-        with ProcessPoolEvaluator(max_workers=2) as pool:
+        with AsyncEvaluator(max_workers=2) as pool:
             parallel = OptimizationSession(build(), evaluator=pool).run(
                 batch_size=2
             )
@@ -208,7 +238,7 @@ class TestEvaluators:
 
     def test_invalid_max_workers(self):
         with pytest.raises(ValueError):
-            ProcessPoolEvaluator(max_workers=0)
+            AsyncEvaluator(max_workers=0)
 
     def test_short_evaluator_response_raises(self):
         class DroppingEvaluator(SerialEvaluator):

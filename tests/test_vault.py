@@ -143,6 +143,22 @@ class TestCrashResume:
         resumed.close()
         assert vault.info(run_id).status == "done"
 
+    def test_rejected_observation_writes_no_event(self, tmp_path):
+        """An observation the problem cannot have is refused before the
+        event line is fsynced, so resume never replays it."""
+        vault = RunVault(tmp_path)
+        session = vault.open_session("forrester", "mfbo", **FAST_MFBO)
+        for _ in range(6):  # the initial design
+            session.step()
+        n_events = len(vault.read_events(session.run_id))
+        evaluation = session.problem.evaluate_unit(np.array([0.5]), "low")
+        with pytest.raises(ValueError, match="finite"):
+            session.observe(np.array([np.nan]), "low", evaluation)
+        assert len(vault.read_events(session.run_id)) == n_events
+        session.step()
+        assert len(vault.read_events(session.run_id)) == n_events + 1
+        session.close()
+
     def test_resume_replays_events_beyond_stale_checkpoint(self, tmp_path):
         """Kill between checkpoints: the acknowledged tail is replayed."""
         vault = RunVault(tmp_path)
