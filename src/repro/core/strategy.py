@@ -205,7 +205,8 @@ class StrategyBase:
         ValueError
             Before anything is recorded, if the fidelity is not one of the
             problem's, does not match the evaluation's, or if ``x_unit``
-            is not a finite vector of ``problem.dim`` entries.
+            is not a finite vector of ``problem.dim`` entries in
+            ``[0, 1]``.
         """
         if evaluation.fidelity != fidelity:
             raise ValueError(
@@ -218,10 +219,12 @@ class StrategyBase:
                 f"{self.problem.fidelities}"
             )
         x_unit = np.asarray(x_unit, dtype=float).ravel()
-        if x_unit.size != self.problem.dim or not np.isfinite(x_unit).all():
+        # NaN fails both comparisons, so this also refuses non-finite x.
+        in_cube = ((x_unit >= 0.0) & (x_unit <= 1.0)).all()
+        if x_unit.size != self.problem.dim or not in_cube:
             raise ValueError(
                 f"x_unit must be a finite vector of {self.problem.dim} "
-                f"entries, got {x_unit.tolist()}"
+                f"entries in [0, 1], got {x_unit.tolist()}"
             )
         start = time.perf_counter()
         with span("strategy.observe", fidelity=fidelity):

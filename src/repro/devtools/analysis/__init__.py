@@ -5,13 +5,9 @@ Rule families (IDs are stable; the full catalog is in the README's
 
 * ``REPRO-RNG00x`` — RNG discipline (:mod:`.rng`)
 * ``REPRO-SER00x`` — serialization round-trips (:mod:`.serialization`)
-* ``REPRO-FAIL00x`` — failure-path finiteness (:mod:`.failures`)
 * ``REPRO-CONC00x`` — executor hygiene (:mod:`.concurrency`)
-* ``REPRO-OBS00x`` — timing discipline (:mod:`.obs`)
-* ``REPRO-XF00x`` — interprocedural exception flow
-  (:mod:`repro.devtools.dataflow.xflow`)
-* ``REPRO-TAINT00x`` — nondeterminism taint into checkpoints
-  (:mod:`repro.devtools.dataflow.taint`)
+* ``REPRO-XF00x`` — interprocedural exception flow and failure-path
+  finiteness (:mod:`repro.devtools.dataflow.xflow`)
 
 Suppress a finding inline with ``# reprolint: allow[RULE-ID]`` on the
 flagged line or the line above, followed by a justification.
@@ -22,7 +18,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from . import concurrency, failures, obs, rng, serialization
+from .. import dataflow
+from . import concurrency, rng, serialization
 from .engine import (
     Finding,
     ModuleSource,
@@ -44,33 +41,24 @@ __all__ = [
     "update_schema_manifest",
 ]
 
-_CHECKER_MODULES = (rng, serialization, failures, concurrency, obs)
-
 #: rule ID -> one-line summary, across every checker.
-ALL_RULES: dict[str, str] = {}
-for _module in _CHECKER_MODULES:
-    ALL_RULES.update(_module.RULES)
-
-# Imported after the per-module checkers so the dataflow package (which
-# pulls helpers from .engine/.failures) never sees a half-initialised
-# sibling; it contributes the interprocedural REPRO-XF/TAINT families.
-from .. import dataflow as _dataflow  # noqa: E402
-
-ALL_RULES.update(_dataflow.RULES)
+ALL_RULES: dict[str, str] = {
+    **rng.RULES,
+    **serialization.RULES,
+    **concurrency.RULES,
+    **dataflow.RULES,
+}
 
 
 def run_lint(
     paths: Iterable[Path | str],
     rules: set[str] | None = None,
     manifest: dict[str, dict] | None = None,
-    keep_suppressed: bool = False,
 ) -> list[Finding]:
     """Run every checker over ``paths`` and return sorted findings.
 
     ``manifest`` overrides the committed schema manifest (tests inject
-    synthetic ones); ``rules`` restricts the run to a subset of IDs;
-    ``keep_suppressed`` returns inline-allowed findings too, marked
-    ``suppressed=True``, for machine output.
+    synthetic ones); ``rules`` restricts the run to a subset of IDs.
     """
     if manifest is None:
         manifest = load_manifest()
@@ -81,16 +69,13 @@ def run_lint(
     checkers = [
         (rng.RULES, rng.check),
         (serialization.RULES, _serialization_check),
-        (failures.RULES, failures.check),
         (concurrency.RULES, concurrency.check),
-        (obs.RULES, obs.check),
     ]
     return _run_lint(
         paths,
         checkers,
         rules=rules,
-        project_checkers=(_dataflow.check_project,),
-        keep_suppressed=keep_suppressed,
+        project_checkers=(dataflow.check_project,),
     )
 
 

@@ -57,9 +57,6 @@ class Finding:
     line: int
     rule: str
     message: str
-    #: set by :func:`run_lint` with ``keep_suppressed=True`` so machine
-    #: consumers (``--format json``) can see allowed findings too.
-    suppressed: bool = False
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
@@ -262,7 +259,6 @@ def run_lint(
     checkers: Iterable[tuple[dict[str, str], Checker]],
     rules: set[str] | None = None,
     project_checkers: Iterable[ProjectChecker] = (),
-    keep_suppressed: bool = False,
 ) -> list[Finding]:
     """Run ``checkers`` over every module under ``paths``.
 
@@ -270,12 +266,8 @@ def run_lint(
     per module; ``project_checkers`` are called once with every parsed
     module (for interprocedural rules). ``rules`` optionally restricts
     the run to a subset of rule IDs. Returns findings sorted by path,
-    line and rule. Inline-suppressed findings are dropped unless
-    ``keep_suppressed`` is set, in which case they are returned with
-    ``suppressed=True`` for machine consumers.
+    line and rule, inline-suppressed ones dropped.
     """
-    import dataclasses
-
     modules: list[ModuleSource] = []
     findings: list[Finding] = []
     by_path = {}
@@ -290,11 +282,8 @@ def run_lint(
     def emit(module: ModuleSource | None, finding: Finding) -> None:
         if rules is not None and finding.rule not in rules:
             return
-        if module is not None and module.is_suppressed(finding):
-            if keep_suppressed:
-                findings.append(dataclasses.replace(finding, suppressed=True))
-            return
-        findings.append(finding)
+        if module is None or not module.is_suppressed(finding):
+            findings.append(finding)
 
     index = build_project_index(modules)
     for module in modules:

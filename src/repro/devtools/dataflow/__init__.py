@@ -1,25 +1,22 @@
 """``reproflow``: interprocedural dataflow rules for ``reprolint``.
 
-PR 7's checkers are single-module AST pattern matchers; they cannot see
-an unregistered exception raised in a helper three calls below
-``_evaluate``, or a ``time.time()`` that reaches ``state_dict()``
-through two layers of plumbing. This package adds the whole-program
-layer on top of the same :class:`~repro.devtools.analysis.engine.ProjectIndex`:
+The per-module checkers are single-module AST pattern matchers; they
+cannot see an unregistered exception raised in a helper three calls
+below ``_evaluate``, or a ``-inf`` that reaches its return value through
+two layers of plumbing. This package adds the whole-program layer on top
+of the same :class:`~repro.devtools.analysis.engine.ProjectIndex`:
 
 * :mod:`.callgraph` — a project-wide call graph (module-level functions,
   method resolution through the name-based class index, constructors,
   and a conservative name-match fallback for dynamic dispatch);
-* :mod:`.summaries` — per-function def-use/taint summaries (which
-  parameters flow to the return value, which nondeterminism kinds the
-  return value carries), iterated to an interprocedural fixpoint;
-* :mod:`.xflow` — exception-flow rules ``REPRO-XF001..003`` checking
-  what can propagate out of ``_evaluate*`` call chains against each
-  Problem's ``failure_exceptions`` registry, swallowed farm-control
-  exceptions, and non-finite sentinels leaking into evaluations;
-* :mod:`.taint` — nondeterminism-taint rules ``REPRO-TAINT001..003``
-  tracking wall-clock/environment, iteration-order/``id()`` and
-  unseeded-entropy values into checkpoint payloads and
-  ``Strategy.suggest`` outputs.
+* :mod:`.summaries` — per-function def-use summaries of non-finite
+  values (which parameters flow to the return value, whether the return
+  value can carry ``inf``/``nan``), iterated to an interprocedural
+  fixpoint;
+* :mod:`.xflow` — the rules ``REPRO-XF001..003``: what can propagate out
+  of ``_evaluate*`` call chains against each Problem's
+  ``failure_exceptions`` registry, swallowed farm-control exceptions,
+  and non-finite sentinels leaking into evaluations.
 
 All rules honour the standard ``# reprolint: allow[RULE-ID]`` inline
 suppressions; the engine filters them exactly like the per-module rules.
@@ -30,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..analysis.engine import Finding, ModuleSource, ProjectIndex
-from . import taint, xflow
+from . import xflow
 from .callgraph import CallGraph, build_call_graph
 from .summaries import DataflowContext, build_context
 
@@ -43,8 +40,7 @@ __all__ = [
     "check_project",
 ]
 
-#: rule ID -> one-line summary, across both dataflow rule families.
-RULES: dict[str, str] = {**xflow.RULES, **taint.RULES}
+RULES = xflow.RULES
 
 
 def check_project(
@@ -54,14 +50,13 @@ def check_project(
 ) -> list[Finding]:
     """Run every dataflow rule over the whole project at once.
 
-    The call graph and taint summaries are built once and shared by both
-    rule families; ``rules`` optionally restricts which IDs may report.
+    The call graph and summaries are built once; ``rules`` optionally
+    restricts which IDs may report.
     """
     modules = list(modules)
     if rules is not None and not (set(RULES) & rules):
         return []
-    ctx = build_context(modules, index)
-    findings = xflow.check(ctx) + taint.check(ctx)
+    findings = xflow.check(build_context(modules, index))
     if rules is not None:
         findings = [f for f in findings if f.rule in rules]
     return sorted(findings)

@@ -1,23 +1,11 @@
-"""Per-function def-use/taint summaries, interprocedural fixpoint.
+"""Per-function def-use summaries of non-finite values, interprocedural.
 
 Each function gets a :class:`FunctionSummary`: a final environment
-mapping local names to the set of *taint kinds* they may carry, plus
-the kinds its return value may carry. Kinds are:
-
-``"wallclock"``
-    ``time.time()``/``perf_counter()``/``monotonic()`` and friends.
-``"environ"``
-    ``os.environ`` / ``os.getenv`` reads.
-``"order"``
-    set literals/constructors and ``id()`` — values whose iteration
-    order or identity is not deterministic across runs. Plain dicts are
-    *not* sources (Python dicts iterate in insertion order).
-``"entropy"``
-    draws from numpy's global RNG or an unseeded ``default_rng()``;
-    :func:`repro.rng.ensure_rng` is the sanctioned sanitizer.
-``"nonfinite"``
-    ``float("inf")`` / ``np.inf`` / ``np.nan`` literals — sentinel
-    values that must not leak out of ``_evaluate*`` results.
+mapping local names to their *taint*, plus the taint of its return
+value. The one concrete taint kind is ``"nonfinite"``: a
+``float("inf")`` / ``np.inf`` / ``np.nan`` sentinel that must not leak
+out of ``_evaluate*`` results (:func:`is_nonfinite_literal` is the
+source).
 
 A parameter starts tainted with the marker ``("param", name)``; markers
 surviving into the return taint make the summary *polymorphic*: at each
@@ -38,78 +26,35 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Tuple, Union
+from typing import Iterable
 
 from ..analysis.engine import ModuleSource, ProjectIndex, dotted_name
 from .callgraph import CallGraph, CallSite, FunctionInfo, build_call_graph
 
 __all__ = [
-    "TAINT_KINDS",
+    "NONFINITE",
     "DataflowContext",
     "FunctionSummary",
     "build_context",
+    "is_nonfinite_literal",
     "own_body_nodes",
 ]
 
-TAINT_KINDS = ("wallclock", "environ", "order", "entropy", "nonfinite")
-
-#: A taint element: a concrete kind, or a ``("param", name)`` marker.
-Taint = Union[str, Tuple[str, str]]
-TaintSet = frozenset  # of Taint
+#: The concrete taint element; the others are ``("param", name)`` markers.
+NONFINITE = "nonfinite"
 
 _EMPTY: frozenset = frozenset()
+_TAINTED = frozenset({NONFINITE})
 
-# -- source tables ----------------------------------------------------------
+# -- source table -----------------------------------------------------------
 
-_WALLCLOCK_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.process_time",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "date.today",
-}
-
-_ENVIRON_CALLS = {"os.getenv", "os.environ.get", "getenv"}
-
-_ORDER_CALLS = {"id", "set", "frozenset", "globals", "locals", "vars"}
-
-_NONFINITE_ATTRS = {
-    "np.inf",
-    "np.nan",
-    "np.NINF",
-    "np.PINF",
-    "np.NaN",
-    "numpy.inf",
-    "numpy.nan",
-    "math.inf",
-    "math.nan",
-}
-
-#: np.random attributes that construct generators rather than draw from
-#: global state (mirrors analysis/rng.py).
-_RNG_CONSTRUCTORS = {
-    "default_rng",
-    "Generator",
-    "SeedSequence",
-    "BitGenerator",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "SFC64",
-    "MT19937",
-}
+_NONFINITE_ATTRS = {"inf", "Inf", "infty", "Infinity", "nan", "NaN", "NINF", "PINF"}
+_NUMERIC_MODULES = {"np", "numpy", "math"}
+_NONFINITE_STRINGS = {"inf", "infinity", "nan"}
 
 # -- sanitizer tables -------------------------------------------------------
 
-#: Calls whose result carries no taint at all (booleans, sizes).
+#: Calls whose result is never non-finite (booleans, sizes).
 _KILL_ALL = {
     "len",
     "bool",
@@ -126,9 +71,6 @@ _KILL_ALL = {
     "np.any",
 }
 
-#: Calls whose result is deterministic regardless of input ordering.
-_KILL_ORDER = {"sorted", "np.sort", "np.argsort", "min", "max", "sum"}
-
 #: Clamp idioms: treated as removing non-finite sentinels. This is a
 #: deliberate over-trust — ``max(-inf, x)`` is exactly the "floor a
 #: running extremum initialised at -inf" pattern, which is always
@@ -144,10 +86,26 @@ _KILL_NONFINITE = {
     "np.fmin",
 }
 
-#: The sanctioned entropy boundary (repro.rng.ensure_rng).
-_KILL_ENTROPY = {"ensure_rng"}
-
 _GUARD_CALLS = {"isfinite", "isnan", "isinf"}
+
+
+def is_nonfinite_literal(node: ast.AST) -> bool:
+    """True for ``np.inf``/``math.nan``-style constants and ``float("inf")``."""
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr in _NONFINITE_ATTRS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in _NUMERIC_MODULES
+        )
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+        and node.args[0].value.lstrip("+-").lower() in _NONFINITE_STRINGS
+    )
 
 
 @dataclass
@@ -158,7 +116,7 @@ class FunctionSummary:
     env: dict[str, frozenset] = field(default_factory=dict)
     return_taint: frozenset = _EMPTY
     #: names checked by an ``isfinite``/``isnan`` guard somewhere in the
-    #: function; reads of them drop the "nonfinite" kind.
+    #: function; reads of them drop the non-finite taint.
     guarded: frozenset = _EMPTY
 
 
@@ -226,7 +184,7 @@ class _TaintEvaluator:
     def _taint_Name(self, node: ast.Name) -> frozenset:
         taint = self.env.get(node.id, _EMPTY)
         if node.id in self.guarded:
-            taint -= {"nonfinite"}
+            taint -= _TAINTED
         return taint
 
     def _taint_Constant(self, node: ast.Constant) -> frozenset:
@@ -238,24 +196,9 @@ class _TaintEvaluator:
     def _taint_Compare(self, node: ast.Compare) -> frozenset:
         return _EMPTY
 
-    def _taint_Set(self, node: ast.Set) -> frozenset:
-        out = frozenset({"order"})
-        for elt in node.elts:
-            out |= self.taint(elt)
-        return out
-
-    def _taint_SetComp(self, node: ast.SetComp) -> frozenset:
-        out = frozenset({"order"}) | self.taint(node.elt)
-        for comp in node.generators:
-            out |= self.taint(comp.iter)
-        return out
-
     def _taint_Attribute(self, node: ast.Attribute) -> frozenset:
-        name = dotted_name(node)
-        if name == "os.environ":
-            return frozenset({"environ"})
-        if name in _NONFINITE_ATTRS:
-            return frozenset({"nonfinite"})
+        if is_nonfinite_literal(node):
+            return _TAINTED
         return self.taint(node.value)
 
     def _taint_IfExp(self, node: ast.IfExp) -> frozenset:
@@ -263,49 +206,18 @@ class _TaintEvaluator:
 
     def _taint_Call(self, node: ast.Call) -> frozenset:
         name = dotted_name(node.func)
-        tail = name.rsplit(".", 1)[-1] if name else None
-
-        if name in _KILL_ALL or (name and tail in _KILL_ENTROPY):
+        if name in _KILL_ALL:
             return _EMPTY
-
-        # Sources.
-        if name in _WALLCLOCK_CALLS:
-            return frozenset({"wallclock"})
-        if name in _ENVIRON_CALLS:
-            return frozenset({"environ"})
-        if name in _ORDER_CALLS:
-            out = frozenset({"order"})
-            for arg in node.args:
-                out |= self.taint(arg)
-            return out
-        if name is not None:
-            head = name.rsplit(".", 1)[0] if "." in name else ""
-            if head in ("np.random", "numpy.random") and tail not in _RNG_CONSTRUCTORS:
-                return frozenset({"entropy"})
-            if tail == "default_rng" and not node.args and not node.keywords:
-                return frozenset({"entropy"})
-        if (
-            name == "float"
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-            and node.args[0].value.lstrip("+-").lower() in ("inf", "infinity", "nan")
-        ):
-            return frozenset({"nonfinite"})
+        if is_nonfinite_literal(node):
+            return _TAINTED
 
         args_taint: frozenset = _EMPTY
         for arg in node.args:
             args_taint |= self.taint(arg)
         for kw in node.keywords:
             args_taint |= self.taint(kw.value)
-
-        # Sanitizers over propagated argument taint.
-        if name in _KILL_ORDER:
-            args_taint -= {"order"}
         if name in _KILL_NONFINITE:
-            args_taint -= {"nonfinite"}
-        if name in _KILL_ORDER or name in _KILL_NONFINITE:
-            return args_taint
+            return args_taint - _TAINTED
 
         site = self.sites.get(id(node))
         if site is not None and site.targets:
@@ -431,26 +343,20 @@ class DataflowContext:
     summaries: dict[str, FunctionSummary]
     #: per-function ``id(ast.Call) -> CallSite`` maps.
     sites: dict[str, dict[int, CallSite]]
-    module_by_path: dict[str, ModuleSource] = field(default_factory=dict)
 
-    def evaluator(self, qual: str) -> _TaintEvaluator:
-        """An expression evaluator over ``qual``'s *final* environment."""
-        info = self.graph.functions[qual]
+    def is_nonfinite(self, qual: str, expr: ast.expr) -> bool:
+        """Whether ``expr`` can carry a non-finite value inside ``qual``,
+        evaluated in that function's *final* environment."""
         summary = self.summaries[qual]
         evaluator = _TaintEvaluator(
-            info,
+            self.graph.functions[qual],
             self.sites.get(qual, {}),
             self.summaries,
             self.graph.functions,
             summary.guarded,
         )
         evaluator.env = dict(summary.env)
-        return evaluator
-
-    def expr_taint(self, qual: str, expr: ast.expr) -> frozenset:
-        """Concrete taint kinds of ``expr`` inside function ``qual``."""
-        taint = self.evaluator(qual).taint(expr)
-        return frozenset(t for t in taint if isinstance(t, str))
+        return NONFINITE in evaluator.taint(expr)
 
 
 #: Cap on per-function replay and global interprocedural rounds. Strong
@@ -525,5 +431,4 @@ def build_context(
         graph=graph,
         summaries=summaries,
         sites=sites,
-        module_by_path={m.display_path: m for m in modules},
     )

@@ -3,22 +3,17 @@
 Usage::
 
     python -m repro.devtools.lint [paths ...] [--rules ID,ID] [--list-rules]
-    python -m repro.devtools.lint [paths ...] --format json
     python -m repro.devtools.lint --update-schema-manifest [paths ...]
 
 Paths default to ``src/`` when run from the repository root. Exit
 status: 0 clean, 1 findings, 2 usage error. Each finding prints as
 ``path:line: RULE-ID message``; suppress one inline with
-``# reprolint: allow[RULE-ID] <justification>``. With ``--format
-json``, one JSON object per line (``rule``/``path``/``line``/
-``message``/``suppressed``) including suppressed findings; only
-unsuppressed ones affect the exit status.
+``# reprolint: allow[RULE-ID] <justification>``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -56,13 +51,6 @@ def main(argv: list[str] | None = None) -> int:
         help="regenerate the committed serialization schema manifest "
         "from the linted tree and exit",
     )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format; json emits one finding per line including "
-        "suppressed ones (default: text)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -86,28 +74,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"schema manifest updated: {len(manifest)} classes recorded")
         return 0
 
-    findings = run_lint(paths, rules=rules, keep_suppressed=args.format == "json")
-    if args.format == "json":
-        for finding in findings:
-            print(
-                json.dumps(
-                    {
-                        "rule": finding.rule,
-                        "path": finding.path,
-                        "line": finding.line,
-                        "message": finding.message,
-                        "suppressed": finding.suppressed,
-                    },
-                    sort_keys=True,
-                )
-            )
-        unsuppressed = [f for f in findings if not f.suppressed]
-    else:
-        for finding in findings:
-            print(finding.render())
-        unsuppressed = findings
-    if unsuppressed:
-        print(f"reprolint: {len(unsuppressed)} finding(s)", file=sys.stderr)
+    findings = run_lint(paths, rules=rules)
+    for finding in findings:
+        print(finding.render())
+    if findings:
+        print(f"reprolint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
     return 0
 

@@ -24,7 +24,8 @@ in-memory sinks) or the :func:`tracing` context manager::
 
 Durations come from ``time.perf_counter`` (monotonic); the wall-clock
 ``ts`` field exists only so renderers can place spans on a real
-timeline, never to compute durations (rule REPRO-OBS001).
+timeline, never to compute durations (``tests/test_obs.py`` steps the
+wall clock back mid-span to check).
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def tracing(*sinks: Any) -> Iterator[None]:
 
 def _new_id() -> str:
     # Entropy here names spans for humans; it never reaches optimizer
-    # state, checkpoints or RNG streams (REPRO-TAINT003 scope).
+    # state, checkpoints or RNG streams.
     return secrets.token_hex(8)
 
 
@@ -218,7 +219,6 @@ class _Span:
         self.span_id = _new_id()
         self._token = _CONTEXT.set((self.trace_id, self.span_id))
         # Wall-clock placement only; the duration below is perf_counter.
-        # reprolint: allow[REPRO-OBS001] timeline placement, not a duration
         self._ts = time.time()
         self._start = time.perf_counter()
         return self

@@ -11,24 +11,29 @@ Problem names are normalized (case-insensitive, ``_`` and ``-``
 interchangeable) and match each class's reporting :attr:`Problem.name`,
 so a run vault entry's recorded problem name resolves back to a
 constructible class. Targets are ``"module.path:ClassName"`` strings,
-resolved lazily — registering a problem does not import its module.
+resolved lazily — registering a problem or strategy does not import its
+module (strategies import session machinery for their ``run()``, so an
+eager import would be a cycle).
 
-The strategy side shares the checkpoint-resume registry of
-:mod:`repro.session.session`, so a strategy registered for
-:func:`get_strategy` is automatically resumable from checkpoints and
-vault run directories (and vice versa).
+Strategy ids are the ``strategy`` key of every checkpoint: session
+resume and the run vault resolve them through :func:`get_strategy`, so a
+strategy registered here is resumable from checkpoints and vault run
+directories.
 """
 
 from __future__ import annotations
 
 import importlib
+from typing import TYPE_CHECKING
 
-from .problems.base import Problem
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .problems.base import Problem
 
 __all__ = [
     "register_problem",
     "get_problem",
     "list_problems",
+    "register_strategy",
     "get_strategy",
     "list_strategies",
 ]
@@ -61,12 +66,23 @@ _PROBLEM_ALIASES: dict[str, str] = {
     "ladder": "interconnect-ladder",
 }
 
+#: strategy id (the checkpoint's ``strategy`` key) -> "module.path:ClassName"
+_STRATEGY_REGISTRY: dict[str, str] = {
+    "mfbo": "repro.core.mfbo:MFBOptimizer",
+    "weibo": "repro.baselines.weibo:WEIBO",
+    "gaspad": "repro.baselines.gaspad:GASPAD",
+    "de": "repro.baselines.de_opt:DEOptimizer",
+    "random_search": "repro.baselines.random_opt:RandomSearchOptimizer",
+    "momfbo": "repro.moo.optimizer:MOMFBOptimizer",
+}
+
 
 def _normalize(name: str) -> str:
     return name.strip().lower().replace("_", "-")
 
 
-def _resolve_target(target: str) -> type:
+def _resolve(target: str) -> type:
+    """Import the class a ``"module.path:ClassName"`` target names."""
     module_name, _, class_name = target.partition(":")
     return getattr(importlib.import_module(module_name), class_name)
 
@@ -97,7 +113,7 @@ def get_problem(name: str, **kwargs) -> Problem:
         raise ValueError(
             f"unknown problem {name!r}; registered: {list_problems()}"
         ) from None
-    return _resolve_target(target)(**kwargs)
+    return _resolve(target)(**kwargs)
 
 
 def list_problems() -> list[str]:
@@ -105,21 +121,33 @@ def list_problems() -> list[str]:
     return sorted(_PROBLEM_REGISTRY)
 
 
-def get_strategy(name: str) -> type:
-    """Return a registered strategy class by name.
+def register_strategy(strategy_id: str, target: str) -> None:
+    """Register a custom strategy class for :func:`get_strategy` and
+    checkpoint resume.
 
-    Shares the registry used for checkpoint resume, so the built-in
-    names are ``mfbo``, ``weibo``, ``gaspad``, ``de``, ``random_search``
-    and ``momfbo``; custom strategies join via
-    :func:`repro.session.register_strategy`.
+    ``target`` is a ``"module.path:ClassName"`` string; the class must
+    accept ``(problem, **config)`` and implement the Strategy protocol.
     """
-    from .session.session import _resolve_strategy
+    _STRATEGY_REGISTRY[strategy_id] = target
 
-    return _resolve_strategy(name)
+
+def get_strategy(name: str) -> type:
+    """Return a registered strategy class by its id.
+
+    The built-in ids are ``mfbo``, ``weibo``, ``gaspad``, ``de``,
+    ``random_search`` and ``momfbo``; custom strategies join via
+    :func:`register_strategy` (also exported as
+    :func:`repro.session.register_strategy`).
+    """
+    try:
+        target = _STRATEGY_REGISTRY[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown strategy id {name!r}; registered: {list_strategies()}"
+        ) from None
+    return _resolve(target)
 
 
 def list_strategies() -> list[str]:
-    """Sorted names accepted by :func:`get_strategy`."""
-    from .session.session import _STRATEGY_REGISTRY
-
+    """Sorted ids accepted by :func:`get_strategy`."""
     return sorted(_STRATEGY_REGISTRY)

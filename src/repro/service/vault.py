@@ -35,13 +35,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..problems.base import Evaluation, Problem
+from ..registry import get_problem, get_strategy
 from ..session.evaluators import Evaluator
-from ..session.session import (
-    CheckpointError,
-    OptimizationSession,
-    _resolve_strategy,
-    load_checkpoint,
-)
+from ..session.session import CheckpointError, OptimizationSession, load_checkpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.history import Record
@@ -157,7 +153,6 @@ class RunVault:
         if run_dir.exists():
             raise VaultError(f"run {run_id!r} already exists in {self.root}")
         run_dir.mkdir(parents=True)
-        # reprolint: allow[REPRO-OBS001] creation stamp for ls/gc, not a duration
         now = time.time()
         self._write_meta(
             run_id,
@@ -201,7 +196,6 @@ class RunVault:
         """Merge ``fields`` into a run's metadata, atomically."""
         payload = self.meta(run_id)
         payload.update(fields)
-        # reprolint: allow[REPRO-OBS001] freshness stamp for ls/gc, not a duration
         payload["updated"] = time.time()
         self._write_meta(run_id, payload)
         return payload
@@ -209,8 +203,6 @@ class RunVault:
     def _write_meta(self, run_id: str, payload: dict) -> None:
         path = self.meta_path(run_id)
         tmp = path.with_suffix(".json.tmp")
-        # reprolint: allow[REPRO-TAINT001] created/updated wall-clock
-        # stamps are run *metadata* for ls/gc, not optimizer state.
         tmp.write_text(json.dumps(payload, sort_keys=True))
         tmp.replace(path)
 
@@ -377,8 +369,6 @@ class RunVault:
         instances; ``**config`` is forwarded to the strategy constructor
         when a name is given.
         """
-        from ..registry import get_problem, get_strategy
-
         if isinstance(problem, str):
             problem = get_problem(problem, **(problem_kwargs or {}))
         if isinstance(strategy, str):
@@ -430,8 +420,6 @@ class RunVault:
         """
         meta = self.meta(run_id)
         if problem is None:
-            from ..registry import get_problem
-
             problem = get_problem(
                 meta["problem"], **(meta.get("problem_kwargs") or {})
             )
@@ -441,7 +429,7 @@ class RunVault:
                 f"{meta['problem']!r}, got {problem.name!r}"
             )
         payload = self._load_newest_checkpoint(run_id)
-        strategy_cls = _resolve_strategy(payload["strategy"])
+        strategy_cls = get_strategy(payload["strategy"])
         strategy = strategy_cls(problem, rng=rng, **payload["state"]["config"])
         strategy.load_state_dict(payload["state"])
         replayed = self._replay_tail(run_id, strategy)
@@ -596,10 +584,8 @@ class VaultSession(OptimizationSession):
         # Telemetry is advisory: flushed but not fsynced (unlike
         # evaluations, nothing downstream depends on it surviving a
         # crash), and replay filters it out entirely.
-        # reprolint: allow[REPRO-OBS001] timeline stamp on advisory telemetry, not a duration
         ts = time.time()
         for event in events:
-            # reprolint: allow[REPRO-TAINT001] advisory telemetry line, not optimizer state
             line = json.dumps({"type": "telemetry", "ts": ts, **event})
             self._events_file.write(line + "\n")
         self._events_file.flush()
@@ -609,9 +595,7 @@ class VaultSession(OptimizationSession):
     ) -> "Record":
         record = self.strategy.observe(x_unit, fidelity, evaluation)
         self._n_observed += 1
-        # reprolint: allow[REPRO-OBS001] ack timestamp for timelines, not a duration
         ts = time.time()
-        # reprolint: allow[REPRO-TAINT001] ts places the ack on a real timeline; replay ignores it
         line = json.dumps(
             {
                 "seq": self._n_observed,

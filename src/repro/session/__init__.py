@@ -16,6 +16,7 @@ simulate-in-the-loop control flow:
   seeded fault injection for chaos testing.
 """
 
+from ..registry import register_strategy
 from .evaluators import Evaluator, SerialEvaluator
 from .farm import (
     AsyncEvaluator,
@@ -25,12 +26,7 @@ from .farm import (
     SimulatedCrashError,
 )
 from .protocol import Strategy, Suggestion
-from .session import (
-    CheckpointError,
-    OptimizationSession,
-    load_checkpoint,
-    register_strategy,
-)
+from .session import CheckpointError, OptimizationSession, load_checkpoint
 
 __all__ = [
     "OptimizationSession",

@@ -29,7 +29,6 @@ True
 
 from __future__ import annotations
 
-import importlib
 import json
 import os
 from pathlib import Path
@@ -38,6 +37,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..obs import span
+from ..registry import get_strategy
 from .evaluators import Evaluator, SerialEvaluator
 from .protocol import Strategy, Suggestion
 
@@ -50,39 +50,6 @@ __all__ = ["CheckpointError", "OptimizationSession", "load_checkpoint"]
 
 CHECKPOINT_FORMAT = "repro-session-checkpoint"
 CHECKPOINT_VERSION = 1
-
-#: strategy id -> "module:ClassName", resolved lazily to avoid import
-#: cycles (strategies import session machinery for their ``run()``).
-_STRATEGY_REGISTRY: dict[str, str] = {
-    "mfbo": "repro.core.mfbo:MFBOptimizer",
-    "weibo": "repro.baselines.weibo:WEIBO",
-    "gaspad": "repro.baselines.gaspad:GASPAD",
-    "de": "repro.baselines.de_opt:DEOptimizer",
-    "random_search": "repro.baselines.random_opt:RandomSearchOptimizer",
-    "momfbo": "repro.moo.optimizer:MOMFBOptimizer",
-}
-
-
-def register_strategy(strategy_id: str, target: str) -> None:
-    """Register a custom strategy class for checkpoint resume.
-
-    ``target`` is a ``"module.path:ClassName"`` string; the class must
-    accept ``(problem, **config)`` and implement the Strategy protocol.
-    """
-    _STRATEGY_REGISTRY[strategy_id] = target
-
-
-def _resolve_strategy(strategy_id: str) -> type:
-    try:
-        target = _STRATEGY_REGISTRY[strategy_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown strategy id {strategy_id!r}; registered: "
-            f"{sorted(_STRATEGY_REGISTRY)}"
-        ) from None
-    module_name, _, class_name = target.partition(":")
-    return getattr(importlib.import_module(module_name), class_name)
-
 
 class CheckpointError(ValueError):
     """A checkpoint file is corrupt, truncated or not a checkpoint."""
@@ -382,7 +349,7 @@ class OptimizationSession:
                 f"{payload['problem_name']!r}, got {problem.name!r}"
             )
         state = payload["state"]
-        strategy_cls = _resolve_strategy(payload["strategy"])
+        strategy_cls = get_strategy(payload["strategy"])
         strategy = strategy_cls(
             problem, callback=callback, rng=rng, **state["config"]
         )

@@ -2,6 +2,10 @@
 trajectory point-for-point, for every strategy and model-cache path."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +196,51 @@ class TestCheckpointFormat:
         assert payload["format"] == "repro-session-checkpoint"
         resumed = OptimizationSession.resume(path, ForresterProblem())
         assert resumed.is_done  # final save happens at run() completion
+
+
+class TestCrossProcessDeterminism:
+    """Two interpreters share no hash seed, wall clock or OS entropy, so a
+    checkpoint that depends on set order, ``time.time()`` or an unseeded
+    generator differs between them. In-process comparisons share all
+    three and cannot see it."""
+
+    SCRIPT = f"""
+import sys
+
+from repro import MFBOptimizer, OptimizationSession
+from repro.problems import GardnerProblem
+
+session = OptimizationSession(
+    MFBOptimizer(GardnerProblem(), budget=8.0, n_init_low=6, n_init_high=2,
+                 seed=7, **{FAST!r})
+)
+session.run()
+session.save(sys.argv[1])
+"""
+
+    def test_checkpoints_are_byte_identical_across_hash_seeds(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runs = []
+        for hash_seed in ("0", "12345"):
+            path = tmp_path / f"hashseed-{hash_seed}.json"
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "OPENBLAS_NUM_THREADS": "1",
+                "PYTHONPATH": src,
+            }
+            proc = subprocess.Popen(
+                [sys.executable, "-c", self.SCRIPT, str(path)], env=env
+            )
+            runs.append((path, proc))
+        try:
+            for _, proc in runs:
+                assert proc.wait(timeout=300) == 0
+        finally:
+            for _, proc in runs:
+                proc.kill()
+        first, second = (path.read_bytes() for path, _ in runs)
+        assert first == second
 
 
 class TestResultRoundTrip:

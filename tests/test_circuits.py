@@ -23,8 +23,10 @@ from repro.circuits import (
     typical_corner,
 )
 from repro.circuits.charge_pump import DEVICE_NAMES
+from repro.circuits.power_amplifier import FAILED_METRICS
 from repro.problems import FIDELITY_HIGH, FIDELITY_LOW, FailedEvaluation
 from repro.spice import simulate_transient
+from repro.spice.waveform import Waveform
 
 
 class TestPVT:
@@ -131,6 +133,28 @@ class TestPowerAmplifier:
         assert evaluation.metrics == power_amplifier.FAILED_METRICS
         assert evaluation.objective == -power_amplifier.FAILED_METRICS["Eff"]
         assert not evaluation.feasible
+
+
+# ----------------------------------------------------------------------
+# the real bug REPRO-XF003 caught: simulate_pa leaking to_dbm's -inf
+# ----------------------------------------------------------------------
+def test_simulate_pa_dead_output_reports_finite_metrics(monkeypatch):
+    # A dead output stage (v_out identically zero) makes p_load == 0 and
+    # to_dbm return -inf; before the guard this flowed straight into the
+    # metrics dict and both PA problems' evaluations.
+    monkeypatch.setattr(Waveform, "rms", lambda self: 0.0)
+    metrics = simulate_pa(250e-12, 640e-12, 500e-6, 2.5, 1.5, FIDELITY_LOW)
+    assert all(np.isfinite(v) for v in metrics.values())
+    assert metrics["Pout"] == FAILED_METRICS["Pout"]
+
+
+def test_pa_problem_dead_output_evaluation_is_finite(monkeypatch):
+    monkeypatch.setattr(Waveform, "rms", lambda self: 0.0)
+    problem = PowerAmplifierProblem()
+    evaluation = problem.evaluate_unit(np.full(5, 0.5), FIDELITY_LOW)
+    assert np.isfinite(evaluation.objective)
+    assert np.all(np.isfinite(evaluation.constraints))
+    assert not evaluation.feasible
 
 
 class TestChargePumpModel:

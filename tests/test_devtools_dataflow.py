@@ -4,33 +4,22 @@ Mirrors ``test_devtools_lint.py``: one failing fixture per rule ID with
 the finding asserted down to rule ID and line, negatives for every
 sanitizer/escape path, call-graph builder coverage (inherited-method
 resolution, recursion, conservative dynamic edges, cross-module
-imports), the ``--format json`` CLI contract, schema-manifest
-determinism, and the regression test for the real bug REPRO-XF003
-caught: ``simulate_pa`` leaking ``to_dbm``'s ``-inf`` into evaluation
-results when the output stage is dead.
+imports), inline suppression and schema-manifest determinism. The
+regression tests for the real bug REPRO-XF003 caught live in
+``test_circuits.py``.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
-import numpy as np
-
-from repro.circuits.power_amplifier import (
-    FAILED_METRICS,
-    PowerAmplifierProblem,
-    simulate_pa,
-)
 from repro.devtools.analysis import run_lint, update_schema_manifest
 from repro.devtools.analysis.engine import build_project_index, load_module
 from repro.devtools.analysis.serialization import MANIFEST_PATH
 from repro.devtools.dataflow import RULES as DATAFLOW_RULE_CATALOG
 from repro.devtools.dataflow import build_call_graph, build_context
 from repro.devtools.lint import main as lint_main
-from repro.problems import FIDELITY_LOW
-from repro.spice.waveform import Waveform
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -47,15 +36,9 @@ def dataflow_findings(
     tmp_path: Path,
     source: str,
     rules: set[str] | None = None,
-    keep_suppressed: bool = False,
 ) -> list[tuple[str, int]]:
     path = write_fixture(tmp_path, source)
-    found = run_lint(
-        [path],
-        rules=rules or DATAFLOW_RULES,
-        manifest={},
-        keep_suppressed=keep_suppressed,
-    )
+    found = run_lint([path], rules=rules or DATAFLOW_RULES, manifest={})
     return [(f.rule, f.line) for f in found]
 
 
@@ -312,6 +295,28 @@ def test_xf001_handler_in_helper_filters_subclass(tmp_path):
     assert dataflow_findings(tmp_path, source) == []
 
 
+def test_xf001_direct_raise_keeps_the_narrow_escape_set(tmp_path):
+    source = """
+    def helper(x):
+        if x < 0:
+            raise ValueError("negative")
+        return x
+
+
+    class FixtureProblem:
+        failure_exceptions = ()
+
+        def _evaluate(self, x, fidelity):
+            value = helper(x)
+            if value > 1.0:
+                raise ValueError("out of range")
+            return value
+    """
+    # The helper's ValueError is a programming error allowed to escape;
+    # the same type raised in the body itself is not.
+    assert dataflow_findings(tmp_path, source) == [("REPRO-XF001", 13)]
+
+
 # ----------------------------------------------------------------------
 # REPRO-XF002: swallowing farm-critical exceptions
 # ----------------------------------------------------------------------
@@ -430,121 +435,6 @@ def test_xf003_clamp_idiom_sanitizes(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# REPRO-TAINT001: wall-clock / environment into checkpoint state
-# ----------------------------------------------------------------------
-def test_taint001_time_into_state_dict(tmp_path):
-    source = """
-    import time
-
-
-    def stamp():
-        return time.time()
-
-
-    class Recorder:
-        def state_dict(self):
-            return {"t": stamp()}
-    """
-    assert dataflow_findings(tmp_path, source) == [("REPRO-TAINT001", 10)]
-
-
-def test_taint001_environ_into_json_dump(tmp_path):
-    source = """
-    import json
-    import os
-
-
-    def write_checkpoint(fh):
-        payload = {"host": os.environ.get("HOSTNAME")}
-        fh.write(json.dumps(payload))
-    """
-    assert dataflow_findings(tmp_path, source) == [("REPRO-TAINT001", 7)]
-
-
-def test_taint001_suggestion_constructor_sink(tmp_path):
-    source = """
-    import time
-
-
-    class Suggestion:
-        def __init__(self, x):
-            self.x = x
-
-
-    def make():
-        return Suggestion(time.time())
-    """
-    assert dataflow_findings(tmp_path, source) == [("REPRO-TAINT001", 10)]
-
-
-def test_taint001_timing_telemetry_without_sink_is_fine(tmp_path):
-    source = """
-    import time
-
-
-    def timed(fn):
-        start = time.perf_counter()
-        value = fn()
-        return value, time.perf_counter() - start
-    """
-    assert dataflow_findings(tmp_path, source) == []
-
-
-# ----------------------------------------------------------------------
-# REPRO-TAINT002: iteration order / id() into checkpoint state
-# ----------------------------------------------------------------------
-def test_taint002_set_order_into_state_dict(tmp_path):
-    source = """
-    def state_dict(tags):
-        uniq = set(tags)
-        return {"tags": list(uniq)}
-    """
-    assert dataflow_findings(tmp_path, source) == [("REPRO-TAINT002", 3)]
-
-
-def test_taint002_sorted_sanitizes(tmp_path):
-    source = """
-    def state_dict(tags):
-        uniq = set(tags)
-        return {"tags": sorted(uniq)}
-    """
-    assert dataflow_findings(tmp_path, source) == []
-
-
-# ----------------------------------------------------------------------
-# REPRO-TAINT003: unsanctioned entropy into suggest output
-# ----------------------------------------------------------------------
-def test_taint003_unseeded_rng_into_suggest(tmp_path):
-    source = """
-    import numpy as np
-
-
-    def suggest(batch):
-        gen = np.random.default_rng()
-        return gen.uniform(0.0, 1.0, batch)
-    """
-    assert dataflow_findings(tmp_path, source, rules={"REPRO-TAINT003"}) == [
-        ("REPRO-TAINT003", 6)
-    ]
-
-
-def test_taint003_ensure_rng_is_the_sanctioned_boundary(tmp_path):
-    source = """
-    import numpy as np
-
-
-    def ensure_rng(rng):
-        return np.random.default_rng(12345) if rng is None else rng
-
-
-    def suggest(rng, batch):
-        gen = ensure_rng(rng)
-        return gen.uniform(0.0, 1.0, batch)
-    """
-    assert dataflow_findings(tmp_path, source, rules={"REPRO-TAINT003"}) == []
-
-
-# ----------------------------------------------------------------------
 # suppression reuse
 # ----------------------------------------------------------------------
 def test_dataflow_rules_honour_inline_suppression(tmp_path):
@@ -563,67 +453,6 @@ def test_dataflow_rules_honour_inline_suppression(tmp_path):
             return to_db(x)
     """
     assert dataflow_findings(tmp_path, source) == []
-
-
-def test_keep_suppressed_marks_findings(tmp_path):
-    source = """
-    def to_db(p):
-        if p <= 0:
-            return float("-inf")
-        return 10.0
-
-
-    class FixtureProblem:
-        failure_exceptions = ()
-
-        def _evaluate(self, x, fidelity):
-            # reprolint: allow[REPRO-XF003] sentinel is floored by caller
-            return to_db(x)
-    """
-    path = write_fixture(tmp_path, source)
-    found = run_lint([path], rules=DATAFLOW_RULES, manifest={}, keep_suppressed=True)
-    assert [(f.rule, f.line, f.suppressed) for f in found] == [
-        ("REPRO-XF003", 12, True)
-    ]
-
-
-# ----------------------------------------------------------------------
-# --format json CLI contract
-# ----------------------------------------------------------------------
-def test_cli_format_json_reports_and_fails(tmp_path, capsys):
-    source = """
-    def pump(pool, fn):
-        try:
-            return pool.submit(fn).result(timeout=1.0)
-        except TimeoutError:
-            return None
-    """
-    path = write_fixture(tmp_path, source)
-    code = lint_main([str(path), "--rules", "REPRO-XF002", "--format", "json"])
-    out = capsys.readouterr().out
-    rows = [json.loads(line) for line in out.strip().splitlines()]
-    assert code == 1
-    assert len(rows) == 1
-    assert set(rows[0]) == {"rule", "path", "line", "message", "suppressed"}
-    assert rows[0]["rule"] == "REPRO-XF002"
-    assert rows[0]["line"] == 4
-    assert rows[0]["suppressed"] is False
-
-
-def test_cli_format_json_suppressed_only_exits_zero(tmp_path, capsys):
-    source = """
-    import numpy as np
-
-
-    def make():
-        return np.random.default_rng()  # reprolint: allow[REPRO-RNG003] test
-    """
-    path = write_fixture(tmp_path, source)
-    code = lint_main([str(path), "--rules", "REPRO-RNG003", "--format", "json"])
-    out = capsys.readouterr().out
-    rows = [json.loads(line) for line in out.strip().splitlines()]
-    assert code == 0
-    assert [r["suppressed"] for r in rows] == [True]
 
 
 def test_cli_text_format_hides_suppressed(tmp_path, capsys):
@@ -653,33 +482,3 @@ def test_schema_manifest_regeneration_is_byte_identical(tmp_path):
     assert blob.endswith(b"\n")
     # The committed manifest must be exactly what regeneration produces.
     assert blob == MANIFEST_PATH.read_bytes()
-
-
-# ----------------------------------------------------------------------
-# the real bug XF003 caught: simulate_pa leaking to_dbm's -inf
-# ----------------------------------------------------------------------
-def test_simulate_pa_dead_output_reports_finite_metrics(monkeypatch):
-    # A dead output stage (v_out identically zero) makes p_load == 0 and
-    # to_dbm return -inf; before the guard this flowed straight into the
-    # metrics dict and both PA problems' evaluations.
-    monkeypatch.setattr(Waveform, "rms", lambda self: 0.0)
-    metrics = simulate_pa(250e-12, 640e-12, 500e-6, 2.5, 1.5, FIDELITY_LOW)
-    assert all(np.isfinite(v) for v in metrics.values())
-    assert metrics["Pout"] == FAILED_METRICS["Pout"]
-
-
-def test_pa_problem_dead_output_evaluation_is_finite(monkeypatch):
-    monkeypatch.setattr(Waveform, "rms", lambda self: 0.0)
-    problem = PowerAmplifierProblem()
-    evaluation = problem.evaluate_unit(np.full(5, 0.5), FIDELITY_LOW)
-    assert np.isfinite(evaluation.objective)
-    assert np.all(np.isfinite(evaluation.constraints))
-    assert not evaluation.feasible
-
-
-# ----------------------------------------------------------------------
-# clean-tree guarantee for the new families
-# ----------------------------------------------------------------------
-def test_clean_tree_has_zero_dataflow_findings():
-    found = run_lint([REPO_SRC], rules=DATAFLOW_RULES, manifest={})
-    assert [f.render() for f in found] == []

@@ -8,23 +8,22 @@ on every event line, telemetry lines invisible to ``read_events``) and
 the ``python -m repro.obs`` renderers.
 """
 
+import itertools
 import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.obs import (
     LATENCY_BUCKETS_S,
-    Counter,
     Histogram,
-    JsonlSink,
     MemorySink,
     MetricsRegistry,
     current_context,
     disable,
-    enable,
     is_enabled,
     span,
     traced,
@@ -88,6 +87,22 @@ class TestSpans:
         (record,) = sink.records
         assert record["status"] == "error"
         assert record["attrs"] == {"detail": "bad"}
+
+    def test_wall_clock_step_back_leaves_duration_alone(self, monkeypatch):
+        """``ts`` reads the wall clock and ``duration_s`` the monotonic
+        one: a wall clock stepped back mid-span (NTP, a manual reset)
+        moves the span on the timeline but does not change its length."""
+        wall = itertools.count(1e9, -3600.0)  # each read an hour earlier
+        monotonic = itertools.count(50.0, 0.25)
+        monkeypatch.setattr(time, "time", lambda: next(wall))
+        monkeypatch.setattr(time, "perf_counter", lambda: next(monotonic))
+        sink = MemorySink()
+        with tracing(sink):
+            with span("stepped"):
+                time.time()  # the clock steps back inside the span
+        (record,) = sink.records
+        assert record["ts"] == 1e9
+        assert record["duration_s"] == 0.25
 
     def test_disabled_is_shared_noop(self):
         assert not is_enabled()

@@ -17,7 +17,6 @@ import signal
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np

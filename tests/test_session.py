@@ -119,8 +119,9 @@ class TestProtocol:
             ([np.nan, 0.5], FIDELITY_LOW),
             ([0.5, 0.5, 0.5], FIDELITY_LOW),
             ([0.5, 0.5], "medium"),
+            ([0.5, 7.5], FIDELITY_LOW),
         ],
-        ids=["non-finite-x", "wrong-length-x", "unknown-fidelity"],
+        ids=["non-finite-x", "wrong-length-x", "unknown-fidelity", "outside-cube"],
     )
     def test_observe_rejects_impossible_design(self, x_unit, fidelity):
         """A design the problem cannot have raises before anything is

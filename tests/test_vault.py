@@ -12,13 +12,12 @@ import json
 import os
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
 
 from repro.registry import get_problem, get_strategy
-from repro.service import RunVault, VaultError, VaultSession
+from repro.service import RunVault, VaultError
 from repro.session import CheckpointError
 
 FAST_MFBO = dict(
