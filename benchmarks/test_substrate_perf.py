@@ -12,6 +12,7 @@ from repro.acquisition import WeightedEI
 from repro.circuits.power_amplifier import simulate_pa
 from repro.gp import GPR, nargp_kernel
 from repro.mf import NARGP
+from repro.optim import MSPOptimizer
 from repro.problems import (
     FIDELITY_HIGH,
     FIDELITY_LOW,
@@ -185,6 +186,49 @@ def test_gpr_nlml_eq9_opamp_shape(benchmark, nlml_shape):
         np.column_stack([x, f_low]), y, optimize=False
     )
     _nlml_call(benchmark, model)
+
+
+@pytest.mark.parametrize("kernel_name", ["rbf", "eq9"])
+def test_gpr_fit_opamp_shape(benchmark, nlml_shape, kernel_name):
+    """One whole hyperparameter search at the op-amp knobs: two L-BFGS-B
+    runs (the current theta and one random restart), 40 iterations each,
+    of the low-fidelity RBF GP or the fused eq. 9 GP."""
+    x, f_low, y = nlml_shape
+    if kernel_name == "rbf":
+        inputs, targets = x, f_low
+    else:
+        inputs, targets = np.column_stack([x, f_low]), y
+
+    def fit():
+        kernel = None if kernel_name == "rbf" else nargp_kernel(5)
+        return GPR(kernel=kernel, max_opt_iter=40).fit(
+            inputs, targets, n_restarts=1, rng=np.random.default_rng(13)
+        )
+
+    model = benchmark(fit)
+    assert np.isfinite(model.train_result.nlml)
+    assert model.train_result.nlml < 1e25
+
+
+def test_msp_maximize_opamp_shape(benchmark, polish_shape):
+    """One whole MSP search (§4.1) of the fused wEI at the op-amp knobs:
+    a 60-point scatter, then two L-BFGS-B polish runs whose every step is
+    one 6-point forward-difference stencil (d = 5)."""
+    _, fused_models, z, _ = polish_shape
+    predictors = [lambda x, m=m: m.predict(x, z=z) for m in fused_models]
+    acq = WeightedEI(predictors[0], predictors[1:], tau=-0.5)
+
+    def maximize():
+        optimizer = MSPOptimizer(
+            dim=5, n_starts=60, n_polish=2, rng=np.random.default_rng(14)
+        )
+        return optimizer.maximize(acq)
+
+    result = benchmark(maximize)
+    # The polish ran: the count exceeds the scatter plus one stencil
+    # per start.
+    assert result.n_evaluations > 60 + 2 * 6
+    assert np.isfinite(result.value)
 
 
 def test_transient_rc_1000_steps(benchmark):

@@ -18,7 +18,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from .. import dataflow
+# The dataflow package imports .engine, which runs this __init__ first
+# when dataflow is imported on its own; so take its catalog from the
+# xflow module, which needs only .engine, and import check_project
+# where run_lint calls it.
+from ..dataflow import xflow
 from . import concurrency, rng, serialization
 from .engine import (
     Finding,
@@ -46,7 +50,7 @@ ALL_RULES: dict[str, str] = {
     **rng.RULES,
     **serialization.RULES,
     **concurrency.RULES,
-    **dataflow.RULES,
+    **xflow.RULES,
 }
 
 
@@ -60,6 +64,8 @@ def run_lint(
     ``manifest`` overrides the committed schema manifest (tests inject
     synthetic ones); ``rules`` restricts the run to a subset of IDs.
     """
+    from ..dataflow import check_project
+
     if manifest is None:
         manifest = load_manifest()
 
@@ -75,7 +81,7 @@ def run_lint(
         paths,
         checkers,
         rules=rules,
-        project_checkers=(dataflow.check_project,),
+        project_checkers=(check_project,),
     )
 
 

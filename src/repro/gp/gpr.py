@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..obs import span
+from ..optim.lbfgsb import lbfgsb
 from ..rng import ensure_rng
 from .kernels import RBF, Kernel
 from .linalg import (
@@ -264,18 +264,13 @@ class GPR:
             starts.append(rng.uniform(lo, hi))
         best_value, best_theta, any_success = np.inf, starts[0], False
         for start in starts:
-            result = minimize(
-                self._nlml_and_grad,
-                np.clip(start, lo, hi),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": self.max_opt_iter},
+            theta, value, success = lbfgsb(
+                self._nlml_and_grad, start, lo, hi, self.max_opt_iter
             )
-            if np.isfinite(result.fun) and result.fun < best_value:
-                best_value = float(result.fun)
-                best_theta = result.x.copy()
-                any_success = any_success or bool(result.success)
+            if np.isfinite(value) and value < best_value:
+                best_value = value
+                best_theta = theta
+                any_success = any_success or success
         self._set_full_theta(best_theta)
         # The workspace is only needed while L-BFGS-B hammers the
         # objective; drop the O(n^2 d) tensors now (rebuilt lazily).

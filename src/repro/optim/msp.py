@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..design.sampling import gaussian_ball, latin_hypercube
 from ..rng import ensure_rng
+from .lbfgsb import lbfgsb
 
 __all__ = ["MSPOptimizer", "MSPResult"]
 
@@ -158,19 +158,12 @@ class MSPOptimizer:
         best_value = float(values[best_idx])
 
         negative = self._make_polish_objective(acquisition, eval_counter)
-        bounds = [(0.0, 1.0)] * self.dim
+        lower, upper = np.zeros(self.dim), np.ones(self.dim)
         for idx in order[: self.n_polish]:
-            result = minimize(
-                negative,
-                starts[idx],
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": 50},
-            )
-            if np.isfinite(result.fun) and -result.fun > best_value:
-                best_value = float(-result.fun)
-                best_x = np.clip(result.x, 0.0, 1.0)
+            x, value, _ = lbfgsb(negative, starts[idx], lower, upper, 50)
+            if np.isfinite(value) and -value > best_value:
+                best_value = -value
+                best_x = np.clip(x, 0.0, 1.0)
         return MSPResult(
             x=best_x, value=best_value, n_evaluations=eval_counter[0]
         )

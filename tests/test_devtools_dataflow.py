@@ -11,10 +11,14 @@ regression tests for the real bug REPRO-XF003 caught live in
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
-from repro.devtools.analysis import run_lint, update_schema_manifest
+import pytest
+
+from repro.devtools.analysis import ALL_RULES, run_lint, update_schema_manifest
 from repro.devtools.analysis.engine import build_project_index, load_module
 from repro.devtools.analysis.serialization import MANIFEST_PATH
 from repro.devtools.dataflow import RULES as DATAFLOW_RULE_CATALOG
@@ -482,3 +486,21 @@ def test_schema_manifest_regeneration_is_byte_identical(tmp_path):
     assert blob.endswith(b"\n")
     # The committed manifest must be exactly what regeneration produces.
     assert blob == MANIFEST_PATH.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.devtools.dataflow", "repro.devtools.analysis", "repro.devtools.lint"],
+)
+def test_each_devtools_package_imports_first_in_a_fresh_interpreter(module):
+    """``analysis`` builds its catalog from ``dataflow``, and ``dataflow``
+    imports ``analysis.engine``; whichever a fresh interpreter imports
+    first must load and see the whole catalog."""
+    code = (
+        f"import {module}\n"
+        "from repro.devtools.analysis import ALL_RULES\n"
+        "print(' '.join(sorted(ALL_RULES)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == sorted(ALL_RULES)

@@ -159,6 +159,25 @@ class TestEveryRestartFails:
         np.testing.assert_allclose(mu, self.y, atol=1e-2)
 
 
+class TestDuplicateInputs:
+    """Exact duplicate training rows make K singular up to the noise
+    term; the fit must still end finite, below the 1e25 penalty."""
+
+    @pytest.mark.parametrize("targets", ["equal", "conflicting"])
+    def test_duplicate_rows_fit_finite(self, targets):
+        rng = np.random.default_rng(7)
+        x = rng.random((10, 3))
+        x = np.vstack([x, x[:4], x[:2]])
+        y = np.sin(3.0 * x).sum(axis=1)
+        if targets == "conflicting":
+            y[10:] += [0.5, -0.7, 0.3, 0.9, -0.4, 0.6]
+        model = GPR().fit(x, y, n_restarts=2, rng=rng)
+        assert np.isfinite(model.train_result.nlml)
+        assert model.train_result.nlml < 1e25
+        mu, var = model.predict(np.vstack([x, rng.random((5, 3))]))
+        assert np.all(np.isfinite(mu)) and np.all(var > 0)
+
+
 class TestValidation:
     def test_predict_before_fit_raises(self):
         with pytest.raises(RuntimeError):

@@ -109,6 +109,48 @@ class TestNARGP:
         assert np.all(var > 0)
 
 
+class TestDegenerateTrainingData:
+    """Duplicated high-fidelity rows, and a low-fidelity target so nearly
+    constant that eq. 9's ``f_l(x)`` column is flat: both fits must end
+    finite, and the fused posterior must stay finite and positive."""
+
+    @staticmethod
+    def _assert_finite(model, x_star):
+        for gp in (model.low_model, model.high_model):
+            assert np.isfinite(gp.train_result.nlml)
+            assert gp.train_result.nlml < 1e25
+        z = np.random.default_rng(8).standard_normal(16)
+        for mu, var in (
+            model.predict(x_star, rng=np.random.default_rng(9)),
+            model.predict(x_star, z=z),
+        ):
+            assert np.all(np.isfinite(mu)) and np.all(var > 0)
+
+    def test_duplicated_high_fidelity_rows(self):
+        rng = np.random.default_rng(10)
+        x_low = np.sort(rng.random(20))[:, None]
+        x_high = np.sort(rng.random(6))[:, None]
+        x_high = np.vstack([x_high, x_high[:3], x_high[:1]])
+        model = NARGP(n_restarts=2).fit(
+            x_low, pedagogical_low(x_low),
+            x_high, pedagogical_high(x_high),
+            rng=rng,
+        )
+        self._assert_finite(model, np.linspace(0.0, 1.0, 25)[:, None])
+
+    def test_nearly_constant_low_fidelity_column(self):
+        rng = np.random.default_rng(11)
+        x_low = rng.random((15, 2))
+        x_high = rng.random((6, 2))
+        y_low = 3.0 + 1e-13 * rng.standard_normal(15)
+        model = NARGP(n_restarts=2).fit(
+            x_low, y_low, x_high, np.sin(3.0 * x_high).sum(axis=1), rng=rng
+        )
+        f_low = model.high_model.x_train[:, -1]
+        assert np.ptp(f_low) < 1e-10
+        self._assert_finite(model, rng.random((12, 2)))
+
+
 class TestAR1:
     def test_recovers_exact_linear_relation(self):
         rng = np.random.default_rng(0)

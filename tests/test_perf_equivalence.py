@@ -2,9 +2,10 @@
 
 Every performance shortcut in the GP stack — kernel workspace caching,
 the single-Cholesky NLML gradient, batched NARGP Monte-Carlo fusion,
-incremental Cholesky updates and the ``refit_every`` BO policy — must
-produce the same numbers as the straightforward reference computation.
-These tests pin that equivalence to tight tolerances on seeded data.
+incremental Cholesky updates, the direct ``setulb`` L-BFGS-B loop and the
+``refit_every`` BO policy — must produce the same numbers as the
+straightforward reference computation. These tests pin that equivalence
+to tight tolerances, or bit for bit, on seeded data.
 """
 
 import copy
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve as scipy_cho_solve
 from scipy.linalg import cholesky as scipy_cholesky
 from scipy.linalg import solve_triangular as scipy_solve_triangular
+from scipy.optimize import minimize
 
+from repro.acquisition import WeightedEI
 from repro.core import MFBOptimizer
 from repro.gp import GPR
 from repro.gp.kernels import RBF, Product, Sum, nargp_kernel
@@ -506,6 +509,156 @@ def test_gpr_add_points_matches_full_refit():
     # variances cancel in the last ulps between the incremental and the
     # refactored Cholesky.
     np.testing.assert_allclose(var_inc, var_ref, rtol=1e-8, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# L-BFGS-B searches through repro.optim.lbfgsb, against scipy's minimize
+# ---------------------------------------------------------------------------
+def oracle_optimize_hyperparameters(model, n_restarts, rng):
+    """The previous ``GPR._optimize_hyperparameters``: one scipy
+    ``minimize`` per restart. Returns ``(nlml, theta, success)``."""
+    bounds = model._full_bounds()
+    starts = [model._full_theta()]
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    for _ in range(max(0, n_restarts)):
+        starts.append(rng.uniform(lo, hi))
+    best_value, best_theta, any_success = np.inf, starts[0], False
+    for start in starts:
+        result = minimize(
+            model._nlml_and_grad,
+            np.clip(start, lo, hi),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options={"maxiter": model.max_opt_iter},
+        )
+        if np.isfinite(result.fun) and result.fun < best_value:
+            best_value = float(result.fun)
+            best_theta = result.x.copy()
+            any_success = any_success or bool(result.success)
+    return best_value, best_theta, any_success
+
+
+def oracle_msp_maximize(optimizer, acquisition, incumbent_low, incumbent_high):
+    """The previous ``MSPOptimizer.maximize``: one scipy ``minimize`` per
+    polish start. Returns ``(x, value, n_evaluations)``."""
+    starts = optimizer.scatter(incumbent_low, incumbent_high)
+    values = np.asarray(acquisition(starts), dtype=float).ravel()
+    values = np.where(np.isfinite(values), values, -np.inf)
+    eval_counter = [starts.shape[0]]
+    order = np.argsort(values)[::-1]
+    best_x = starts[order[0]].copy()
+    best_value = float(values[order[0]])
+    negative = optimizer._make_polish_objective(acquisition, eval_counter)
+    bounds = [(0.0, 1.0)] * optimizer.dim
+    for idx in order[: optimizer.n_polish]:
+        result = minimize(
+            negative,
+            starts[idx],
+            jac=True,
+            method="L-BFGS-B",
+            bounds=bounds,
+            options={"maxiter": 50},
+        )
+        if np.isfinite(result.fun) and -result.fun > best_value:
+            best_value = float(-result.fun)
+            best_x = np.clip(result.x, 0.0, 1.0)
+    return best_x, best_value, eval_counter[0]
+
+
+@pytest.fixture(scope="module")
+def opamp_shape():
+    """One served op-amp iteration in miniature: 20 low / 5 high points in
+    d = 5, and the low GP plus fused NARGP of an objective and four
+    constraints, fit at the op-amp knobs (one restart, 40 iterations).
+    The constraints ``g <= 0`` hold on most of the cube, so wEI is far
+    from zero and the polish runs for many steps."""
+    rng = np.random.default_rng(21)
+    x_low, x_high = rng.random((20, 5)), rng.random((5, 5))
+    low_models, fused_models = [], []
+    for i, w in enumerate(rng.standard_normal((5, 5))):
+        shift = 0.0 if i == 0 else 0.8
+        y_low = np.sin(x_low @ w) - shift
+        low = GPR(max_opt_iter=40).fit(x_low, y_low, n_restarts=1, rng=rng)
+        fused = NARGP(n_restarts=1, max_opt_iter=40).fit(
+            x_low, y_low,
+            x_high, 1.5 * np.sin(x_high @ w) + 0.2 * (x_high @ w) ** 2 - shift,
+            rng=rng, low_model=low,
+        )
+        low_models.append(low)
+        fused_models.append(fused)
+    return x_low, x_high, low_models, fused_models, rng.standard_normal(10)
+
+
+def _recorded(fun, log):
+    def wrapped(x):
+        log.append(np.asarray(x).tobytes())
+        return fun(x)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("n_restarts", [1, 3])
+@pytest.mark.parametrize("kernel_name", ["rbf", "eq9"])
+def test_gpr_fit_matches_minimize_oracle_bitwise(
+    opamp_shape, kernel_name, n_restarts
+):
+    """Each restart evaluates eq. 3 at the same thetas in the same order
+    as the minimize loop, so the fit keeps the same bits."""
+    x_low, _, low_models, fused_models, _ = opamp_shape
+    high = fused_models[1].high_model
+    if kernel_name == "rbf":
+        x, y = x_low, low_models[1].y_train
+    else:
+        x, y = high.x_train, high.y_train
+
+    def fresh():
+        kernel = None if kernel_name == "rbf" else nargp_kernel(5)
+        return GPR(kernel=kernel, max_opt_iter=40).fit(x, y, optimize=False)
+
+    oracle_log, log = [], []
+    oracle = fresh()
+    oracle._nlml_and_grad = _recorded(oracle._nlml_and_grad, oracle_log)
+    nlml, theta, success = oracle_optimize_hyperparameters(
+        oracle, n_restarts, np.random.default_rng(5)
+    )
+    model = fresh()
+    model._nlml_and_grad = _recorded(model._nlml_and_grad, log)
+    model.fit(x, y, n_restarts=n_restarts, rng=np.random.default_rng(5))
+    assert log == oracle_log and len(log) > n_restarts + 1
+    assert model.train_result.nlml == nlml
+    assert model.train_result.theta.tobytes() == theta.tobytes()
+    assert model.train_result.success == success
+    assert model._full_theta().tobytes() == theta.tobytes()
+
+
+@pytest.mark.parametrize("fidelity", ["low", "fused"])
+def test_msp_maximize_matches_minimize_oracle_bitwise(opamp_shape, fidelity):
+    """Both polish starts query wEI (eq. 6) at the same stencils in the
+    same order as the minimize loop: same point, value and count."""
+    x_low, x_high, low_models, fused_models, z = opamp_shape
+    if fidelity == "low":
+        predictors = [m.predict for m in low_models]
+    else:
+        predictors = [lambda x, m=m: m.predict(x, z=z) for m in fused_models]
+    acquisition = WeightedEI(predictors[0], predictors[1:], tau=0.0)
+    incumbents = x_low[3], x_high[2]
+
+    def optimizer():
+        return MSPOptimizer(
+            dim=5, n_starts=60, n_polish=2, rng=np.random.default_rng(9)
+        )
+
+    oracle_log, log = [], []
+    oracle = oracle_msp_maximize(
+        optimizer(), _recorded(acquisition, oracle_log), *incumbents
+    )
+    result = optimizer().maximize(_recorded(acquisition, log), *incumbents)
+    assert log == oracle_log and len(log) > 10
+    assert result.x.tobytes() == oracle[0].tobytes()
+    assert result.value == oracle[1]
+    assert result.n_evaluations == oracle[2]
 
 
 # ---------------------------------------------------------------------------
