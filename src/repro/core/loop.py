@@ -46,7 +46,6 @@ import numpy as np
 from ..acquisition.functions import Predictor, ViolationAcquisition, WeightedEI
 from ..design.sampling import maximin_latin_hypercube
 from ..gp.gpr import GPR
-from ..mf.ar1 import AR1
 from ..mf.nargp import NARGP
 from ..optim.msp import MSPOptimizer, MSPResult
 from ..problems.base import FIDELITY_HIGH, FIDELITY_LOW, Problem
@@ -70,20 +69,19 @@ def fit_pairs(
     rng: np.random.Generator,
     n_restarts: int,
     max_opt_iter: int,
-    make_fused: Callable[[], NARGP | AR1],
-) -> tuple[list[GPR], list]:
-    """One (low GP, fused model) pair per output, in output order.
+) -> tuple[list[GPR], list[NARGP]]:
+    """One (low GP, fused NARGP) pair per output, in output order.
 
-    Each fused model reuses its output's low GP. Both fits draw their
+    Each NARGP reuses its output's low GP. Both fits draw their
     hyperparameter restarts from ``rng``, low GP first.
     """
     low_models: list[GPR] = []
-    fused_models: list = []
+    fused_models: list[NARGP] = []
     for t_low, t_high in zip(targets_low, targets_high):
         low_gp = GPR(max_opt_iter=max_opt_iter).fit(
             x_low, t_low, n_restarts=n_restarts, rng=rng
         )
-        fused = make_fused()
+        fused = NARGP(n_restarts=n_restarts, max_opt_iter=max_opt_iter)
         fused.fit(x_low, t_low, x_high, t_high, rng=rng, low_model=low_gp)
         low_models.append(low_gp)
         fused_models.append(fused)
@@ -150,7 +148,6 @@ class BOLoop(StrategyBase):
         n_init_high: int,
         gamma: float,
         n_mc_samples: int,
-        fusion: str,
         max_iterations: int,
         **loop,
     ) -> None:
@@ -164,14 +161,11 @@ class BOLoop(StrategyBase):
             raise ValueError("budget must be positive")
         if n_init_low < 1 or n_init_high < 1:
             raise ValueError("initial designs need at least one point each")
-        if fusion not in ("nargp", "ar1"):
-            raise ValueError("fusion must be 'nargp' or 'ar1'")
         if n_mc_samples < 1:
             raise ValueError("n_mc_samples must be >= 1")
         self.n_init_low = int(n_init_low)
         self.n_init_high = int(n_init_high)
         self.n_mc_samples = int(n_mc_samples)
-        self.fusion = fusion
         self.max_iterations = int(max_iterations)
         self._setup_loop(
             problem,
@@ -211,22 +205,13 @@ class BOLoop(StrategyBase):
             or self._iteration >= self.max_iterations
         )
 
-    def _fused_model(self, fusion: str) -> NARGP | AR1:
-        if fusion == "nargp":
-            return NARGP(
-                n_mc_samples=self.n_mc_samples,
-                n_restarts=self.n_restarts,
-                max_opt_iter=self.gp_max_opt_iter,
-            )
-        return AR1(n_restarts=self.n_restarts)
-
     def _fit_pairs(
         self,
         x_low: np.ndarray,
         targets_low: Sequence[np.ndarray],
         x_high: np.ndarray,
         targets_high: Sequence[np.ndarray],
-    ) -> tuple[list[GPR], list]:
+    ) -> tuple[list[GPR], list[NARGP]]:
         return fit_pairs(
             x_low,
             targets_low,
@@ -235,7 +220,6 @@ class BOLoop(StrategyBase):
             rng=self._rng_streams["gp"],
             n_restarts=self.n_restarts,
             max_opt_iter=self.gp_max_opt_iter,
-            make_fused=lambda: self._fused_model(self.fusion),
         )
 
     def _incumbent(self, fidelity: str) -> tuple[float | None, np.ndarray | None]:
@@ -276,7 +260,6 @@ class BOLoop(StrategyBase):
                 n_init_high=self.n_init_high,
                 gamma=self.selector.gamma,
                 n_mc_samples=self.n_mc_samples,
-                fusion=self.fusion,
                 max_iterations=self.max_iterations,
             )
         return config

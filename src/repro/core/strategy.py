@@ -33,6 +33,7 @@ import numpy as np
 
 from ..obs import span
 from ..problems.base import Evaluation, Problem
+from ..registry import check_state_version
 from ..session.protocol import Suggestion
 from ..session.serialization import (
     queue_from_state,
@@ -117,18 +118,21 @@ class StrategyBase:
         checkpoints so :meth:`repro.session.OptimizationSession.resume`
         can rebuild the strategy.
 
-    Strategies with model caches or population state additionally
-    override ``_extra_state()`` / ``_load_extra_state()``.
+    Strategies with state beyond the history (a population, a frozen
+    reference point) additionally override ``_extra_state()`` /
+    ``_load_extra_state()``.
     """
 
     algorithm_name: str = "strategy"
     #: checkpoint registry key (see ``repro.session.register_strategy``)
     strategy_id: str = "base"
-    #: schema version of this strategy's ``state_dict`` payload. Bump it
-    #: when the layout of the serialized state changes incompatibly;
-    #: :meth:`load_state_dict` then rejects stale checkpoints with a
-    #: clear error instead of silently mis-restoring them. Checkpoints
-    #: written before the field existed are treated as version 1.
+    #: schema version of this strategy's ``state_dict`` payload, its
+    #: ``config`` included. Bump it when that layout changes
+    #: incompatibly: :func:`repro.registry.restore_strategy` then rejects
+    #: a stale checkpoint before constructing the strategy, and
+    #: :meth:`load_state_dict` rejects one loaded directly, with a clear
+    #: error instead of a silent mis-restore. Checkpoints written before
+    #: the field existed are treated as version 1.
     state_version: int = 1
     #: names of the independent RNG streams this strategy consumes
     rng_stream_names: tuple[str, ...] = ("init",)
@@ -413,15 +417,7 @@ class StrategyBase:
                 f"state belongs to strategy {state.get('strategy')!r}, "
                 f"not {self.strategy_id!r}"
             )
-        saved_version = int(state.get("state_version", 1))
-        if saved_version != self.state_version:
-            raise ValueError(
-                f"checkpoint state schema version {saved_version} does not "
-                f"match {type(self).__name__}.state_version "
-                f"{self.state_version}; the saved layout is incompatible "
-                "with this build — re-run from scratch or load it with a "
-                "matching version of the library"
-            )
+        check_state_version(type(self), state.get("state_version"))
         self._iteration = int(state["iteration"])
         self._init_drawn = bool(state["init_drawn"])
         self._stopped = bool(state["stopped"])

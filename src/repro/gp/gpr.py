@@ -286,10 +286,10 @@ class GPR:
         x, y = self._x_train, self._y_train
         k = self.kernel(x) + self.noise_variance * self._eye
         chol, self._jitter = jitter_cholesky(k)
-        # Canonicalize cache layout to C order: LAPACK/BLAS pick their
-        # accumulation order from the memory layout, so a checkpoint
-        # restored from JSON (C-ordered) must hold bit-identical *and*
-        # identically laid out arrays to reproduce the live trajectory.
+        # Keep the factor C-ordered: LAPACK/BLAS pick their accumulation
+        # order from the memory layout, so every solve and product on
+        # the cache, and with them the pinned trajectories, depend on it
+        # (gp/linalg.py solves a C-ordered factor transposed).
         self._chol = np.ascontiguousarray(chol)
         self._alpha = cho_solve(self._chol, y)
         # Cached triangular L^-1 turns every predictive-variance query
@@ -309,9 +309,10 @@ class GPR:
         The posterior Cholesky factor is extended with an incremental
         block update (:func:`repro.gp.linalg.chol_append`, ``O(n^2)`` per
         point) instead of the ``O(n^3)`` full refactorization — the cheap
-        path a Bayesian-optimization loop takes on iterations where it
-        skips hyperparameter refitting. Falls back to a full
-        refactorization if the appended block is numerically indefinite.
+        path the Bayesian-optimization loop takes when it believes a
+        batch member or an in-flight suggestion at its posterior mean
+        (constant liar). Falls back to a full refactorization if the
+        appended block is numerically indefinite.
         """
         if self._chol is None:
             raise RuntimeError("model has not been fit")
@@ -352,47 +353,6 @@ class GPR:
             self._lower_inv = lower_inv
         except CholeskyError:
             self._update_posterior_cache()
-        return self
-
-    # ------------------------------------------------------------------
-    # serialization (checkpoint format)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable snapshot of the fitted model.
-
-        Besides training data and hyperparameters the *posterior caches*
-        (Cholesky factor, ``alpha``, ``L^-1``, jitter) are stored
-        verbatim: a cache built through incremental :meth:`add_points`
-        appends differs in the last bits from a fresh factorization, and
-        checkpoint/resume must reproduce subsequent predictions exactly.
-        """
-        if self._chol is None:
-            raise RuntimeError("model has not been fit")
-        return {
-            "x_train": self._x_train.tolist(),
-            "y_raw": self._y_raw.tolist(),
-            "theta": self._full_theta().tolist(),
-            "jitter": float(self._jitter),
-            "chol": self._chol.tolist(),
-            "alpha": self._alpha.tolist(),
-            "lower_inv": self._lower_inv.tolist(),
-        }
-
-    def load_state_dict(self, state: dict) -> "GPR":
-        """Restore a model saved with :meth:`state_dict`.
-
-        The kernel must already have the right structure (the default ARD
-        :class:`RBF` is built automatically from the training data when
-        none is set); only its ``theta`` vector is overwritten.
-        """
-        x = np.asarray(state["x_train"], dtype=float)
-        y = np.asarray(state["y_raw"], dtype=float)
-        self._set_data(x, y)
-        self._set_full_theta(np.asarray(state["theta"], dtype=float))
-        self._chol = np.asarray(state["chol"], dtype=float)
-        self._alpha = np.asarray(state["alpha"], dtype=float)
-        self._lower_inv = np.asarray(state["lower_inv"], dtype=float)
-        self._jitter = float(state["jitter"])
         return self
 
     # ------------------------------------------------------------------

@@ -51,9 +51,8 @@ class AR1:
         ----------
         low_model:
             An already-trained low-fidelity :class:`~repro.gp.GPR` to
-            reuse (the BO loop fits the low GP once per iteration and
-            shares it here, as with :class:`repro.mf.NARGP`). When
-            omitted a fresh GP is fit on ``(x_low, y_low)``.
+            reuse, as with :class:`repro.mf.NARGP`. When omitted a fresh
+            GP is fit on ``(x_low, y_low)``.
         """
         rng = ensure_rng(rng)
         x_low = np.atleast_2d(np.asarray(x_low, dtype=float))
@@ -101,56 +100,12 @@ class AR1:
         if self.low_model is None or self.delta_model is None:
             raise RuntimeError("model has not been fit")
 
-    # ------------------------------------------------------------------
-    # serialization (checkpoint format)
-    # ------------------------------------------------------------------
-    def state_dict(self, include_low: bool = True) -> dict:
-        """JSON-serializable snapshot (see :meth:`repro.mf.NARGP.state_dict`)."""
-        self._require_fit()
-        return {
-            "rho": float(self.rho),
-            "delta": self.delta_model.state_dict(),
-            "low": self.low_model.state_dict() if include_low else None,
-        }
-
-    def load_state_dict(self, state: dict, low_model: GPR | None = None) -> "AR1":
-        """Restore a model saved with :meth:`state_dict`."""
-        self.rho = float(state["rho"])
-        if state.get("low") is not None:
-            self.low_model = GPR().load_state_dict(state["low"])
-        elif low_model is not None:
-            self.low_model = low_model
-        else:
-            raise ValueError(
-                "state has no low-fidelity model; pass low_model explicitly"
-            )
-        self.delta_model = GPR().load_state_dict(state["delta"])
-        return self
-
-    def predict_low(self, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Low-fidelity posterior ``(mu_l, var_l)``."""
-        self._require_fit()
-        return self.low_model.predict(x_star)
-
-    def predict(
-        self,
-        x_star: np.ndarray,
-        rng: np.random.Generator | None = None,
-        n_mc_samples: int | None = None,
-        z: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """High-fidelity posterior.
-
-        ``rng``/``n_mc_samples``/``z`` are accepted for interface
-        compatibility with :class:`repro.mf.NARGP`; the linear model is
-        analytic so they are unused.
-        """
+    def predict(self, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """High-fidelity posterior: analytic, ``rho`` times the low GP
+        plus the discrepancy GP."""
         self._require_fit()
         mu_low, var_low = self.low_model.predict(x_star)
         mu_delta, var_delta = self.delta_model.predict(x_star)
         mu = self.rho * mu_low + mu_delta
         var = self.rho**2 * var_low + var_delta
         return mu, np.maximum(var, 1e-12)
-
-    # The linear model's mean path is identical to its full prediction.
-    predict_mean_path = predict

@@ -126,50 +126,8 @@ class NARGP:
             raise RuntimeError("model has not been fit")
 
     # ------------------------------------------------------------------
-    # serialization (checkpoint format)
-    # ------------------------------------------------------------------
-    def state_dict(self, include_low: bool = True) -> dict:
-        """JSON-serializable snapshot of the fused model.
-
-        With ``include_low=False`` only the high-fidelity GP is stored;
-        the caller is then responsible for re-linking the shared
-        low-fidelity model on :meth:`load_state_dict` (the BO loop owns
-        the low GPs and shares them with the fused models).
-        """
-        self._require_fit()
-        return {
-            "dim": int(self._dim),
-            "high": self.high_model.state_dict(),
-            "low": self.low_model.state_dict() if include_low else None,
-        }
-
-    def load_state_dict(self, state: dict, low_model: GPR | None = None) -> "NARGP":
-        """Restore a model saved with :meth:`state_dict`."""
-        self._dim = int(state["dim"])
-        if state.get("low") is not None:
-            self.low_model = GPR(max_opt_iter=self.max_opt_iter).load_state_dict(
-                state["low"]
-            )
-        elif low_model is not None:
-            self.low_model = low_model
-        else:
-            raise ValueError(
-                "state has no low-fidelity model; pass low_model explicitly"
-            )
-        self.high_model = GPR(
-            kernel=nargp_kernel(self._dim), max_opt_iter=self.max_opt_iter
-        ).load_state_dict(state["high"])
-        return self
-
-    # ------------------------------------------------------------------
     # prediction
     # ------------------------------------------------------------------
-    def predict_low(self, x_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Low-fidelity posterior ``(mu_l, var_l)`` — used by the fidelity
-        selection criterion (paper eq. 11)."""
-        self._require_fit()
-        return self.low_model.predict(x_star)
-
     def predict(
         self,
         x_star: np.ndarray,

@@ -1,7 +1,7 @@
 """Multi-objective multi-fidelity optimization subsystem.
 
-Layers a Pareto-front workflow on top of the existing NARGP/AR1 fusion
-models: constrained-domination archive (:mod:`.pareto`), exact hypervolume
+Layers a Pareto-front workflow on top of the NARGP fusion model:
+constrained-domination archive (:mod:`.pareto`), exact hypervolume
 indicators (:mod:`.hypervolume`), EHVI and ParEGO acquisitions
 (:mod:`.acquisition`), and the :class:`MOMFBOptimizer` ask/tell strategy
 (:mod:`.optimizer`).

@@ -2,7 +2,7 @@
 
 :class:`MOMFBOptimizer` lifts the paper's Algorithm 1 to vector
 objectives. It is one more :class:`repro.core.loop.BOLoop`: one fused
-NARGP/AR1 model per objective (and per constraint) on the shared
+NARGP model per objective (and per constraint) on the shared
 two-fidelity data, the eq. 11/12 fidelity rule over the low-fidelity
 models of *all* outputs, and the MSP low-then-fused acquisition search,
 with the scalar wEI replaced by a multi-objective acquisition:
@@ -97,8 +97,6 @@ class MOMFBOptimizer(BOLoop):
         three or more objectives (two-objective EHVI is closed-form).
     rho:
         ParEGO augmented-Tchebycheff coefficient.
-    fusion:
-        ``"nargp"`` (paper) or ``"ar1"`` per-output fusion model.
     Other parameters match :class:`repro.core.MFBOptimizer`.
 
     Examples
@@ -117,6 +115,8 @@ class MOMFBOptimizer(BOLoop):
     algorithm_name = "MO-MFBO"
     strategy_id = "momfbo"
     rng_stream_names = ("init", "gp", "mc", "acq", "dedup", "scalar")
+    #: 2: no ``fusion`` key in the config
+    state_version = 2
 
     def __init__(
         self,
@@ -135,7 +135,6 @@ class MOMFBOptimizer(BOLoop):
         msp_starts: int = 100,
         msp_polish: int = 3,
         ball_stddev: float = 0.03,
-        fusion: str = "nargp",
         gp_max_opt_iter: int = 100,
         max_iterations: int = 10_000,
         seed: int | None = None,
@@ -172,7 +171,6 @@ class MOMFBOptimizer(BOLoop):
             n_init_high=n_init_high,
             gamma=gamma,
             n_mc_samples=n_mc_samples,
-            fusion=fusion,
             max_iterations=max_iterations,
             n_restarts=n_restarts,
             gp_max_opt_iter=gp_max_opt_iter,

@@ -16,9 +16,9 @@ module (strategies import session machinery for their ``run()``, so an
 eager import would be a cycle).
 
 Strategy ids are the ``strategy`` key of every checkpoint: session
-resume and the run vault resolve them through :func:`get_strategy`, so a
-strategy registered here is resumable from checkpoints and vault run
-directories.
+resume and the run vault rebuild strategies through
+:func:`restore_strategy`, so a strategy registered here is resumable
+from checkpoints and vault run directories.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .problems.base import Problem
+    from .session.protocol import Strategy
 
 __all__ = [
     "register_problem",
@@ -36,6 +37,8 @@ __all__ = [
     "register_strategy",
     "get_strategy",
     "list_strategies",
+    "check_state_version",
+    "restore_strategy",
 ]
 
 #: canonical problem name -> "module.path:ClassName"
@@ -151,3 +154,37 @@ def get_strategy(name: str) -> type:
 def list_strategies() -> list[str]:
     """Sorted ids accepted by :func:`get_strategy`."""
     return sorted(_STRATEGY_REGISTRY)
+
+
+def check_state_version(cls: type, saved: int | None) -> None:
+    """Reject a snapshot's ``state_version`` unless it is ``cls``'s own.
+
+    A snapshot without the field (``None``), and a class without a
+    ``state_version`` attribute, count as version 1.
+    """
+    saved = 1 if saved is None else int(saved)
+    current = getattr(cls, "state_version", 1)
+    if saved != current:
+        raise ValueError(
+            f"checkpoint state schema version {saved} does not match "
+            f"{cls.__name__}.state_version {current}; the saved layout is "
+            "incompatible with this build — re-run from scratch or load it "
+            "with a matching version of the library"
+        )
+
+
+def restore_strategy(problem: Problem, state: dict, **kwargs) -> Strategy:
+    """Rebuild a strategy from a ``state_dict`` snapshot.
+
+    Resolves the class from the snapshot's ``strategy`` id and checks its
+    ``state_version`` before calling the constructor, so a stale
+    checkpoint fails with the version error instead of a ``TypeError``
+    on an option its config names and this build no longer has. Then
+    constructs the strategy from the saved config plus ``kwargs``
+    (``callback``, ``rng``) and loads the snapshot into it.
+    """
+    cls = get_strategy(state["strategy"])
+    check_state_version(cls, state.get("state_version"))
+    strategy = cls(problem, **kwargs, **state["config"])
+    strategy.load_state_dict(state)
+    return strategy

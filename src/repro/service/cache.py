@@ -98,9 +98,6 @@ class SurrogatePosterior:
                 rng=rng,
                 n_restarts=n_restarts,
                 max_opt_iter=max_opt_iter,
-                make_fused=lambda: NARGP(
-                    n_restarts=n_restarts, max_opt_iter=max_opt_iter
-                ),
             )
         else:
             fidelity = high_f if n_high >= 2 else low_f

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..problems.base import Evaluation, Problem
-from ..registry import get_problem, get_strategy
+from ..registry import get_problem, get_strategy, restore_strategy
 from ..session.evaluators import Evaluator
 from ..session.session import CheckpointError, OptimizationSession, load_checkpoint
 
@@ -429,9 +429,7 @@ class RunVault:
                 f"{meta['problem']!r}, got {problem.name!r}"
             )
         payload = self._load_newest_checkpoint(run_id)
-        strategy_cls = get_strategy(payload["strategy"])
-        strategy = strategy_cls(problem, rng=rng, **payload["state"]["config"])
-        strategy.load_state_dict(payload["state"])
+        strategy = restore_strategy(problem, payload["state"], rng=rng)
         replayed = self._replay_tail(run_id, strategy)
         session = VaultSession(
             strategy,

@@ -19,10 +19,9 @@ The protocol is intentionally small:
     Feed back one completed evaluation. Observations should be fed back
     in suggestion order (population-based strategies rely on it).
 ``state_dict() / load_state_dict(state)``
-    Full JSON-serializable state — history, model hyperparameters and
-    posterior caches, RNG bit-generator states, budget accounting — such
-    that a resumed strategy reproduces the exact trajectory of an
-    uninterrupted run.
+    Full JSON-serializable state — history, queued suggestions, RNG
+    bit-generator states, budget accounting — such that a resumed
+    strategy reproduces the exact trajectory of an uninterrupted run.
 """
 
 from __future__ import annotations

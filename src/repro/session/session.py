@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..obs import span
-from ..registry import get_strategy
+from ..registry import restore_strategy
 from .evaluators import Evaluator, SerialEvaluator
 from .protocol import Strategy, Suggestion
 
@@ -335,8 +335,8 @@ class OptimizationSession:
         The problem is **not** serialized (it may wrap an arbitrary
         simulator); the caller passes an equivalent instance, validated
         by name. The resumed session reproduces the exact trajectory an
-        uninterrupted run would have produced: history, model caches and
-        every RNG stream are restored bit-for-bit.
+        uninterrupted run would have produced: history, queue and every
+        RNG stream are restored bit-for-bit.
 
         ``rng`` is only needed when the strategy was constructed with a
         non-default bit generator (e.g. ``Philox``): pass a generator of
@@ -348,12 +348,9 @@ class OptimizationSession:
                 f"checkpoint was written for problem "
                 f"{payload['problem_name']!r}, got {problem.name!r}"
             )
-        state = payload["state"]
-        strategy_cls = get_strategy(payload["strategy"])
-        strategy = strategy_cls(
-            problem, callback=callback, rng=rng, **state["config"]
+        strategy = restore_strategy(
+            problem, payload["state"], callback=callback, rng=rng
         )
-        strategy.load_state_dict(state)
         session = cls(
             strategy,
             evaluator=evaluator,

@@ -57,7 +57,7 @@ class TestNARGP:
 
     def test_predict_low_passthrough(self, pedagogical_fit):
         model, x_low, _ = pedagogical_fit
-        mu, var = model.predict_low(x_low)
+        mu, var = model.low_model.predict(x_low)
         np.testing.assert_allclose(mu, pedagogical_low(x_low), atol=0.05)
         assert np.all(var > 0)
 
@@ -206,7 +206,7 @@ class TestAR1:
         model = AR1(n_restarts=1).fit(
             x, np.sin(3 * x[:, 0]), x[::3], np.sin(3 * x[::3, 0]), rng=rng
         )
-        mu, var = model.predict_low(x)
+        mu, var = model.low_model.predict(x)
         np.testing.assert_allclose(mu, np.sin(3 * x[:, 0]), atol=0.05)
 
     def test_unfit_raises(self):

@@ -78,20 +78,6 @@ class TestConstrained:
 
 
 class TestConfiguration:
-    def test_ar1_fusion_mode(self):
-        result = MFBOptimizer(
-            ForresterProblem(), budget=8.0, n_init_low=6, n_init_high=2,
-            fusion="ar1", seed=0, **FAST,
-        ).run()
-        assert np.isfinite(result.best_objective)
-
-    def test_mean_path_prediction_mode(self):
-        result = MFBOptimizer(
-            ForresterProblem(), budget=8.0, n_init_low=6, n_init_high=2,
-            fused_prediction="mean_path", seed=0, **FAST,
-        ).run()
-        assert np.isfinite(result.best_objective)
-
     def test_callback_invoked_each_iteration(self):
         calls = []
         MFBOptimizer(
@@ -121,10 +107,6 @@ class TestConfiguration:
             MFBOptimizer(problem, budget=0.0)
         with pytest.raises(ValueError):
             MFBOptimizer(problem, n_init_low=0)
-        with pytest.raises(ValueError):
-            MFBOptimizer(problem, fusion="nope")
-        with pytest.raises(ValueError):
-            MFBOptimizer(problem, fused_prediction="nope")
 
     @pytest.mark.parametrize("n_mc", [0, -1])
     def test_empty_mc_draw_rejected_before_any_simulation(

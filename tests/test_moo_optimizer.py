@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import MOMFBOptimizer, OptimizationSession
+from repro import WEIBO, MOMFBOptimizer, OptimizationSession
 from repro.core import History
 from repro.moo import non_dominated_mask
 from repro.problems import (
@@ -228,14 +228,35 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="state schema version 99"):
             OptimizationSession.resume(path, ZDT1Problem(constrained=True))
 
+    def test_stale_checkpoint_is_rejected_before_construction(self, tmp_path):
+        """A version-1 checkpoint whose config still names ``fusion``
+        fails with the version error, not in the constructor."""
+        session = OptimizationSession(make())
+        session.step()
+        path = session.save(tmp_path / "ckpt.json")
+        payload = json.loads(path.read_text())
+        payload["state"]["state_version"] = 1
+        payload["state"]["config"]["fusion"] = "nargp"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="state schema version 1"):
+            OptimizationSession.resume(path, ZDT1Problem(constrained=True))
+
     def test_legacy_state_without_version_still_loads(self):
-        """Checkpoints written before the field existed default to 1."""
-        optimizer = make()
+        """Checkpoints written before the field existed default to 1.
+        MO-MFBO is at version 2, so WEIBO, still at 1, carries the case."""
+
+        def make_weibo():
+            return WEIBO(
+                ForresterProblem(), budget=7, n_init=5, seed=4,
+                msp_starts=20, msp_polish=0, n_restarts=1,
+            )
+
+        optimizer = make_weibo()
         optimizer.run()
         state = optimizer.state_dict()
         assert state["state_version"] == 1
         del state["state_version"]
-        clone = make()
+        clone = make_weibo()
         clone.load_state_dict(json.loads(json.dumps(state)))
         assert len(clone.history) == len(optimizer.history)
 

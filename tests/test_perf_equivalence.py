@@ -2,10 +2,10 @@
 
 Every performance shortcut in the GP stack — kernel workspace caching,
 the single-Cholesky NLML gradient, batched NARGP Monte-Carlo fusion,
-incremental Cholesky updates, the direct ``setulb`` L-BFGS-B loop and the
-``refit_every`` BO policy — must produce the same numbers as the
-straightforward reference computation. These tests pin that equivalence
-to tight tolerances, or bit for bit, on seeded data.
+incremental Cholesky updates and the direct ``setulb`` L-BFGS-B loop —
+must produce the same numbers as the straightforward reference
+computation. These tests pin that equivalence to tight tolerances, or
+bit for bit, on seeded data.
 """
 
 import copy
@@ -662,7 +662,7 @@ def test_msp_maximize_matches_minimize_oracle_bitwise(opamp_shape, fidelity):
 
 
 # ---------------------------------------------------------------------------
-# MSP batched polish + refit_every policy
+# MSP batched polish
 # ---------------------------------------------------------------------------
 def test_msp_batched_jac_polish_finds_smooth_optimum():
     optimum = np.array([0.3, 0.7])
@@ -684,16 +684,6 @@ def test_msp_batched_jac_polish_finds_smooth_optimum():
     # points dominates the number of calls.
     assert result.n_evaluations == calls["points"]
     assert calls["points"] > calls["n"]
-
-
-def test_refit_every_policy_runs_and_matches_default_quality():
-    problem = ForresterProblem()
-    result = MFBOptimizer(
-        problem, budget=10.0, n_init_low=8, n_init_high=3,
-        seed=12, msp_starts=30, n_restarts=1, refit_every=3,
-    ).run()
-    assert result.feasible
-    assert np.isfinite(result.best_objective)
 
 
 def test_history_x_unit_matrix_tracks_records():

@@ -7,9 +7,8 @@ compare against fixed digests instead: one blake2b digest per run over
 each history record's ``x_unit`` bytes, fidelity, iteration, objective,
 constraints and objectives.
 
-The matrix covers MF-BO (both fusions, the mean-path ablation, the
-``refit_every`` cache path, batches and in-flight suggestions), MO-MFBO
-with EHVI (closed form and Monte Carlo) and ParEGO, and WEIBO.
+The matrix covers MF-BO (serial, batches and in-flight suggestions),
+MO-MFBO with EHVI (closed form and Monte Carlo) and ParEGO, and WEIBO.
 
 The last bits of a trajectory depend on the float stack, so the digests
 are keyed by the identity fields ``artifact_bench/identity.py`` records
@@ -126,13 +125,7 @@ def _fifo(in_flight):
 #: run name -> (strategy factory, driver)
 RUNS = {
     "mfbo-gardner": (lambda: _mfbo(), _run()),
-    "mfbo-gardner-ar1": (lambda: _mfbo(fusion="ar1"), _run()),
-    "mfbo-gardner-mean-path": (
-        lambda: _mfbo(fused_prediction="mean_path"), _run()
-    ),
-    "mfbo-gardner-refit2": (lambda: _mfbo(refit_every=2), _run()),
     "mfbo-gardner-batch3": (lambda: _mfbo(), _run(3)),
-    "mfbo-gardner-refit2-batch2": (lambda: _mfbo(refit_every=2), _run(2)),
     "mfbo-gardner-fifo2": (lambda: _mfbo(), _fifo(2)),
     "mfbo-gardner-fifo3": (lambda: _mfbo(n_init_high=3), _fifo(3)),
     "mfbo-forrester": (lambda: _mfbo(ForresterProblem()), _run()),
@@ -140,7 +133,6 @@ RUNS = {
     "ehvi-zdt1-constrained": (
         lambda: _momfbo("ehvi", ZDT1Problem(constrained=True)), _run()
     ),
-    "ehvi-zdt1-ar1": (lambda: _momfbo("ehvi", fusion="ar1"), _run()),
     "ehvi-zdt1-batch2": (lambda: _momfbo("ehvi"), _run(2)),
     "ehvi-zdt1-fifo2": (lambda: _momfbo("ehvi"), _fifo(2)),
     "ehvi-3obj": (lambda: _momfbo("ehvi", ThreeObjectiveProblem()), _run()),
@@ -170,19 +162,14 @@ PINNED = {
     "ehvi-3obj": "f602d4f672fbd824223532296b4dec3e",
     "ehvi-3obj-batch2": "87773f741944d2777f381a6fe9c98d20",
     "ehvi-zdt1": "cd7ca36bc60167c22b9f0f392879f3d1",
-    "ehvi-zdt1-ar1": "49d94e37619e9fe69899480570f1defc",
     "ehvi-zdt1-batch2": "5e30d1440433628c23344577614b1a02",
     "ehvi-zdt1-constrained": "991ade465b6d7f54141c018999cd357e",
     "ehvi-zdt1-fifo2": "d2415509089250a6ad52178ef0818956",
     "mfbo-forrester": "64315578481f46047724d322599755c8",
     "mfbo-gardner": "ff2ad9ef1fa47dcd7336235594ae0ea6",
-    "mfbo-gardner-ar1": "eee9a35bf395e5a51e5cd28132cffcb6",
     "mfbo-gardner-batch3": "f1ef8ceaf7c8b1db05bfc8d7eb559fab",
     "mfbo-gardner-fifo2": "d86f6b226cc64576a2c6a91587a9047f",
     "mfbo-gardner-fifo3": "71985a0b43a80bb478e8226fd5aaa4e8",
-    "mfbo-gardner-mean-path": "cc27e9c5c0e33e04fe080410e66468a2",
-    "mfbo-gardner-refit2": "77fbd0812902d11754ad9c2f18157b70",
-    "mfbo-gardner-refit2-batch2": "c14f847eebafc095c687b0321a7a50cf",
     "parego-zdt1": "9f88661a1e9db704afb7a89cb532fed1",
     "parego-zdt1-batch2": "79a5fbc38e4b9f1eadcd47b87e207345",
     "parego-zdt1-constrained": "3800fb4a675c840cd639f167b0aa48f2",

@@ -18,7 +18,7 @@ import pytest
 
 from repro.registry import get_problem, get_strategy
 from repro.service import RunVault, VaultError
-from repro.session import CheckpointError
+from repro.session import CheckpointError, OptimizationSession
 
 FAST_MFBO = dict(
     budget=6.0, n_init_low=4, n_init_high=2, seed=7, msp_starts=4,
@@ -42,6 +42,25 @@ def _fingerprint(history):
 def _abandon(session):
     """Simulate SIGKILL: drop the session without close()/checkpoint."""
     session._events_file.close()
+
+
+def _drive_pairs(target, stop_after=None):
+    """Ask for pairs and observe one member at a time, in order.
+
+    With ``stop_after``, return as soon as the history holds that many
+    records, leaving the rest of the pair in flight.
+    """
+    in_flight = []
+    while in_flight or not target.is_done:
+        if not in_flight:
+            in_flight = target.suggest(2)
+            if not in_flight:
+                return
+        s = in_flight.pop(0)
+        evaluation = target.problem.evaluate_unit(s.x_unit, s.fidelity)
+        target.observe(s.x_unit, s.fidelity, evaluation)
+        if len(target.history) == stop_after:
+            return
 
 
 def _reference_history(problem_name, strategy_name, **config):
@@ -141,6 +160,29 @@ class TestCrashResume:
         assert _fingerprint(resumed.history) == reference
         resumed.close()
         assert vault.info(run_id).status == "done"
+
+    @pytest.mark.parametrize("kill_after", [7, 11, 15])
+    def test_mfbo_resume_with_a_suggestion_in_flight(self, tmp_path, kill_after):
+        """Abandon MF-BO inside its BO loop, past its 6-point initial
+        design, with one member of a batch of two still in flight: the
+        resumed run refits its models from the history, re-dispatches
+        the in-flight member and finishes on the uninterrupted run's
+        trajectory."""
+        reference = get_strategy("mfbo")(get_problem("forrester"), **FAST_MFBO)
+        _drive_pairs(reference)
+        assert len(reference.history) > kill_after
+
+        vault = RunVault(tmp_path)
+        session = vault.open_session("forrester", "mfbo", **FAST_MFBO)
+        run_id = session.run_id
+        _drive_pairs(session, stop_after=kill_after)
+        assert len(session.strategy.pending) == 1
+        _abandon(session)
+
+        resumed = vault.resume(run_id)
+        _drive_pairs(resumed)
+        assert _fingerprint(resumed.history) == _fingerprint(reference.history)
+        resumed.close()
 
     def test_rejected_observation_writes_no_event(self, tmp_path):
         """An observation the problem cannot have is refused before the
@@ -265,6 +307,35 @@ class TestSchemaGuards:
         # .bak (that would replay onto an older schema's state).
         with pytest.raises(CheckpointError, match="version"):
             vault.resume(run_id)
+
+    @pytest.mark.parametrize("path", ["session", "vault"])
+    def test_stale_mfbo_checkpoint_is_clear_error(self, tmp_path, path):
+        """A checkpoint in MF-BO's version-1 layout, whose config names
+        options this build no longer has, fails with the state version
+        error on both resume paths, not with a TypeError raised by the
+        constructor."""
+        vault = RunVault(tmp_path)
+        session = vault.open_session("forrester", "mfbo", **FAST_MFBO)
+        run_id = session.run_id
+        for _ in range(8):  # past the initial design
+            session.step()
+        session.close()
+
+        checkpoint = vault.checkpoint_path(run_id)
+        payload = json.loads(checkpoint.read_text())
+        state = payload["state"]
+        state["state_version"] = 1
+        state["config"].update(fusion="nargp", fused_prediction="mc", refit_every=1)
+        state["extra"] = {"models": None}
+        checkpoint.write_text(json.dumps(payload))
+        resume = {
+            "session": lambda: OptimizationSession.resume(
+                checkpoint, get_problem("forrester")
+            ),
+            "vault": lambda: vault.resume(run_id),
+        }[path]
+        with pytest.raises(ValueError, match="state schema version 1"):
+            resume()
 
     def test_meta_version_mismatch_is_clear_error(self, tmp_path):
         vault = RunVault(tmp_path)
