@@ -3,7 +3,8 @@
 Implements §2.3 of the paper: a zero-mean GP with a user-supplied kernel
 and Gaussian observation noise, trained by minimizing the negative log
 marginal likelihood (paper eq. 3) with analytic gradients and
-multi-restart L-BFGS-B.
+multi-restart L-BFGS-B. The likelihood is a pure function of a stack
+of thetas (:class:`Likelihood`).
 
 Targets are standardized internally (zero mean, unit variance over the
 training set) so kernel hyperparameter bounds behave uniformly across
@@ -13,6 +14,7 @@ problems; predictions are mapped back to the original scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +27,21 @@ from .linalg import (
     CholeskyError,
     cho_solve,
     chol_append,
+    cholesky_stack,
+    invert_lower_stack,
     jitter_cholesky,
-    log_det_from_chol,
     solve_lower,
 )
 
-__all__ = ["GPR", "TrainResult"]
+__all__ = ["GPR", "Likelihood", "TrainResult"]
 
 _LOG_NOISE_BOUNDS = (np.log(1e-8), np.log(1.0))
 _LOG_2PI = np.log(2.0 * np.pi)
+
+
+#: The value (with a zero gradient) of a theta whose covariance cannot
+#: be factored or whose likelihood is not finite.
+PENALTY = 1e25
 
 
 @dataclass
@@ -94,7 +102,6 @@ class GPR:
         self._alpha: np.ndarray | None = None
         self._lower_inv: np.ndarray | None = None
         self._jitter = 0.0
-        self._workspace: dict | None = None
         self.train_result: TrainResult | None = None
 
     # ------------------------------------------------------------------
@@ -151,18 +158,9 @@ class GPR:
         self._y_train = (y - self._y_shift) / self._y_scale
         if self.kernel is None:
             self.kernel = RBF(x.shape[1], lengthscales=0.5)
-        self._workspace = None
-
-    def _get_workspace(self) -> dict:
-        """Theta-independent kernel workspace for the current training set,
-        built lazily and reused across every objective/gradient call of
-        one hyperparameter search."""
-        if self._workspace is None:
-            self._workspace = self.kernel.make_workspace(self._x_train)
-        return self._workspace
 
     # ------------------------------------------------------------------
-    # marginal likelihood
+    # hyperparameters
     # ------------------------------------------------------------------
     def _full_theta(self) -> np.ndarray:
         return np.concatenate([self.kernel.theta, [self._log_noise]])
@@ -175,47 +173,24 @@ class GPR:
     def _full_bounds(self) -> list[tuple[float, float]]:
         return self.kernel.bounds + [_LOG_NOISE_BOUNDS]
 
-    def _nlml_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Negative log marginal likelihood (eq. 3) and its gradient.
-
-        One kernel pass yields ``K`` and the trace contraction over the
-        same factor matrices, and one Cholesky factorization serves the
-        likelihood value and every gradient term; the theta-independent
-        kernel workspace is shared across all calls of one L-BFGS-B run.
-        """
-        self._set_full_theta(theta)
-        y = self._y_train
-        k_noise_free, traces = self.kernel.value_and_traces(
-            self._x_train, self._get_workspace()
-        )
-        try:
-            lower, _ = jitter_cholesky(k_noise_free + self.noise_variance * self._eye)
-        except CholeskyError:
-            return 1e25, np.zeros_like(theta)
-        alpha = cho_solve(lower, y)
-        nlml = 0.5 * (
-            float(y @ alpha) + log_det_from_chol(lower) + y.size * _LOG_2PI
-        )
-        if not math.isfinite(nlml):
-            return 1e25, np.zeros_like(theta)
-        # dNLML/dtheta_j = 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta_j)
-        # (Rasmussen & Williams 2006, eq. 5.9), with K^-1 = L^-T L^-1
-        # assembled from one triangular solve and the trace contracted
-        # kernel-side without materializing dK stacks.
-        lower_inv = solve_lower(lower, self._eye)
-        inner = lower_inv.T @ lower_inv - alpha[:, None] * alpha
-        grad = np.empty(theta.size)
-        grad[:-1] = 0.5 * traces(inner)
-        # noise term: dK/d log(sigma_n^2) = sigma_n^2 * I
-        grad[-1] = 0.5 * self.noise_variance * float(inner.trace())
-        return nlml, grad
-
     def nlml(self) -> float:
         """Negative log marginal likelihood at the current hyperparameters."""
         if self._x_train is None:
             raise RuntimeError("model has not been fit")
-        value, _ = self._nlml_and_grad(self._full_theta())
-        return value
+        values, _ = Likelihood([self])(self._full_theta()[None], _OWN)
+        return float(values[0])
+
+    def hyperparameter_starts(
+        self, n_restarts: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The starts of an eq. 3 search: the current hyperparameters,
+        then ``n_restarts`` draws uniform over their box, as a
+        ``(1 + n_restarts, n_params + 1)`` stack."""
+        bounds = np.array(self._full_bounds())
+        starts = [self._full_theta()]
+        for _ in range(max(0, n_restarts)):
+            starts.append(rng.uniform(bounds[:, 0], bounds[:, 1]))
+        return np.array(starts)
 
     # ------------------------------------------------------------------
     # training
@@ -255,26 +230,24 @@ class GPR:
     def _optimize_hyperparameters(
         self, n_restarts: int, rng: np.random.Generator | None
     ) -> None:
-        rng = ensure_rng(rng)
-        bounds = self._full_bounds()
-        starts = [self._full_theta()]
-        lo = np.array([b[0] for b in bounds])
-        hi = np.array([b[1] for b in bounds])
-        for _ in range(max(0, n_restarts)):
-            starts.append(rng.uniform(lo, hi))
+        starts = self.hyperparameter_starts(n_restarts, ensure_rng(rng))
+        bounds = np.array(self._full_bounds())
+        likelihood = Likelihood([self])
+
+        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            values, grads = likelihood(theta[None], _OWN)
+            return float(values[0]), grads[0]
+
         best_value, best_theta, any_success = np.inf, starts[0], False
         for start in starts:
             theta, value, success = lbfgsb(
-                self._nlml_and_grad, start, lo, hi, self.max_opt_iter
+                objective, start, bounds[:, 0], bounds[:, 1], self.max_opt_iter
             )
             if np.isfinite(value) and value < best_value:
                 best_value = value
                 best_theta = theta
                 any_success = any_success or success
         self._set_full_theta(best_theta)
-        # The workspace is only needed while L-BFGS-B hammers the
-        # objective; drop the O(n^2 d) tensors now (rebuilt lazily).
-        self._workspace = None
         self.train_result = TrainResult(
             nlml=best_value,
             theta=best_theta,
@@ -457,3 +430,93 @@ class GPR:
         mu = k_star @ self._alpha
         # + 0.0: the zero prior mean, as in predict_from_cross.
         return mu * self._y_scale + self._y_shift + 0.0
+
+
+#: The owner index of a one-model likelihood call.
+_OWN = np.zeros(1, dtype=np.intp)
+
+
+class Likelihood:
+    """Eq. 3's negative log marginal likelihood and its gradient for a
+    stack of GPs, as a pure function of theta.
+
+    ``models`` share a kernel structure and a training-set size, and each
+    holds its training data. A call evaluates an ``(r, n_params + 1)``
+    theta stack (kernel parameters, then the log noise variance) whose
+    row ``i`` belongs to model ``owners[i]``, and writes nothing into
+    any model.
+
+    Each leaf kernel's squared differences are computed once, by
+    ``RBF._sq_diffs`` as every prediction computes them, and shared by
+    every model whose inputs to that leaf are equal: the five low GPs of
+    an op-amp iteration share all of theirs, and its five eq. 9 GPs share
+    the ``k2``/``k3`` tensors while ``k1``'s are per output.
+
+    The pass is member-stable: every product, factorization and
+    reduction runs per member, so a member's value and gradient are the
+    same bits whichever members share its call. A member whose
+    covariance cannot be factored on its jitter ladder, or whose NLML is
+    not finite, gets :data:`PENALTY` and a zero gradient.
+    """
+
+    def __init__(self, models: Sequence["GPR"]) -> None:
+        first = models[0]
+        n, n_params = first.n_train, first.kernel.n_params
+        for model in models:
+            if model.n_train != n or model.kernel.n_params != n_params:
+                raise ValueError(
+                    "a likelihood stack needs one training-set size and one "
+                    f"kernel structure; got n={model.n_train}, "
+                    f"{model.kernel.n_params} kernel parameters against "
+                    f"n={n}, {n_params}"
+                )
+        self._kernel = first.kernel
+        self._n = n
+        self._y = np.stack([model._y_train for model in models])
+        per_model = [m.kernel.sq_diffs_by_leaf(m.x_train) for m in models]
+        self._sq_diffs = [
+            tensors[0][None]
+            if all(np.array_equal(t, tensors[0]) for t in tensors[1:])
+            else np.stack(tensors)
+            for tensors in zip(*per_model)
+        ]
+
+    def __call__(
+        self, theta: np.ndarray, owners: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(nlml (r,), grad (r, n_params + 1))`` at the theta stack."""
+        r, n = theta.shape[0], self._n
+        sq_diffs = [
+            sq if sq.shape[0] == 1 else sq[owners] for sq in self._sq_diffs
+        ]
+        k, traces = self._kernel.stack_value_and_traces(theta[:, :-1], sq_diffs)
+        noise = np.exp(theta[:, -1])
+        a = k.reshape(r, n, n).copy()
+        a.reshape(r, n * n)[:, :: n + 1] += noise[:, None]
+        lower, ok = cholesky_stack(a)
+        y = self._y[owners][:, :, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower_inv = invert_lower_stack(lower)
+            lower_inv_t = lower_inv.transpose(0, 2, 1)
+            u = np.matmul(lower_inv, y)  # L^-1 y
+            alpha = np.matmul(lower_inv_t, u)  # K^-1 y
+            nlml = 0.5 * (
+                (u * u).sum(axis=(1, 2))
+                + 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
+                + n * _LOG_2PI
+            )
+            # dNLML/dtheta_j = 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta_j)
+            # (Rasmussen & Williams 2006, eq. 5.9), with K^-1 = L^-T L^-1
+            # and the trace contracted kernel-side without materializing
+            # dK stacks.
+            inner = np.matmul(lower_inv_t, lower_inv)
+            inner -= alpha * alpha.transpose(0, 2, 1)
+            grad = np.empty((r, theta.shape[1]))
+            grad[:, :-1] = 0.5 * traces(inner.reshape(r, n * n))
+            # noise term: dK/d log(sigma_n^2) = sigma_n^2 * I
+            grad[:, -1] = 0.5 * noise * np.trace(inner, axis1=1, axis2=2)
+        failed = ~(ok & np.isfinite(nlml))
+        if failed.any():
+            nlml[failed] = PENALTY
+            grad[failed] = 0.0
+        return nlml, grad

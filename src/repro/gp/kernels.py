@@ -45,26 +45,12 @@ class Kernel:
     """Base class for covariance functions.
 
     Subclasses implement :meth:`__call__`, :meth:`diag` and
-    :meth:`value_and_traces`; hyperparameter plumbing (``theta``,
+    :meth:`stack_value_and_traces`; hyperparameter plumbing (``theta``,
     ``bounds``, ``param_names``) is shared here.
-
-    Workspaces
-    ----------
-    The theta-independent part of a kernel evaluation — the pairwise
-    per-dimension squared differences — does not change between the
-    hundreds of objective/gradient calls an L-BFGS-B hyperparameter
-    search makes on one fixed training set. :meth:`make_workspace`
-    precomputes those tensors once; passing the returned workspace to
-    :meth:`__call__` / :meth:`value_and_traces` skips the recomputation.
-    A workspace is only valid for the exact ``x`` it was built from (and
-    ``x2 is None``); it stays valid across ``theta`` updates.
     """
 
     def __call__(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
+        self, x1: np.ndarray, x2: np.ndarray | None = None
     ) -> np.ndarray:
         """Covariance matrix ``K(x1, x2)`` of shape ``(n1, n2)``."""
         raise NotImplementedError
@@ -73,38 +59,56 @@ class Kernel:
         """Diagonal of ``K(x, x)`` without forming the full matrix."""
         raise NotImplementedError
 
-    def make_workspace(self, x: np.ndarray) -> dict:
-        """Precompute theta-independent tensors for repeated evaluation
-        of ``K(x, x)`` on a fixed ``x``."""
-        x = _as_2d(x)
-        workspace: dict = {"x_ref": x}
-        self._build_workspace(x, workspace)
-        return workspace
+    def sq_diffs_by_leaf(self, x: np.ndarray) -> list[np.ndarray]:
+        """Each leaf's ``(n*n, d)`` squared differences on ``x``, in
+        ``theta`` order: the theta-independent input of
+        :meth:`stack_value_and_traces`.
 
-    def value_and_traces(
-        self, x: np.ndarray, workspace: dict | None = None
+        Each is C-ordered whatever the layout ``RBF._sq_diffs`` returns
+        (an ``active_dims`` slice is Fortran-ordered): a mat-vec's last
+        bits follow the layout of its operand, so a leaf's products must
+        not depend on whether a stack shares one tensor or holds one per
+        member.
+        """
+        n = _as_2d(x).shape[0]
+        return [
+            np.ascontiguousarray(leaf._sq_diffs(x).reshape(n * n, -1))
+            for leaf in self._leaves()
+        ]
+
+    def stack_value_and_traces(
+        self, theta: np.ndarray, sq_diffs: list[np.ndarray]
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """``K(x, x)`` and a function that contracts a weight matrix
-        against ``dK(x, x) / d theta``, from one kernel evaluation.
+        """``K(x, x)`` of ``r`` members and a function that contracts a
+        weight stack against their ``dK / d theta``, from one pass.
 
-        The returned ``traces(inner)`` gives
-        ``sum_ab inner[a,b] * dK(x,x)/dtheta_j[a,b]`` for every ``j``,
-        with derivatives taken with respect to the **log-space**
-        parameters of ``theta``. That is the only quantity the
-        marginal-likelihood gradient needs (``inner = K^-1 - alpha
-        alpha^T``); contracting it directly avoids materializing the
-        ``(n_params, n, n)`` gradient stack, and ``traces`` reuses the
-        factor matrices this pass computed instead of evaluating them
-        again. It belongs to the ``theta`` of the pass.
+        Parameters
+        ----------
+        theta:
+            ``(r, n_params)`` log-space parameters, one row per member.
+            The kernel's own ``theta`` is neither read nor written.
+        sq_diffs:
+            One ``(m, n*n, d)`` squared-difference stack per leaf, in
+            ``theta`` order (:meth:`sq_diffs_by_leaf`), with ``m = 1``
+            when every member shares its inputs and ``m = r`` otherwise.
+
+        Returns ``K`` as an ``(r, n*n)`` stack and ``traces(inner)``,
+        which gives ``sum_ab inner[i, a, b] * dK_i/dtheta_j[a, b]`` for
+        every member ``i`` and parameter ``j`` from an ``(r, n*n)``
+        weight stack. That is all the marginal-likelihood gradient needs
+        (``inner = K^-1 - alpha alpha^T``); contracting it directly
+        avoids materializing ``(n_params, n, n)`` gradient stacks, and
+        ``traces`` reuses the factors this pass computed.
+
+        Every product is per member (a ``np.matmul`` over the stack),
+        never one GEMM across members, so a member's bits do not depend
+        on which other members share its pass.
         """
         raise NotImplementedError
 
     def _leaves(self) -> list["Kernel"]:
         """The leaf kernels of this tree, in ``theta`` order."""
         return [self]
-
-    def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
-        """Populate ``workspace`` (keyed by kernel node) for this subtree."""
 
     @property
     def theta(self) -> np.ndarray:
@@ -206,28 +210,14 @@ class RBF(Kernel):
         return np.exp(self._log_lengthscales)
 
     def _sq_diffs(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
+        self, x1: np.ndarray, x2: np.ndarray | None = None
     ) -> np.ndarray:
         """Pairwise per-dimension **squared** differences, unscaled.
 
         Returns an array of shape ``(n1, n2, d)`` containing
-        ``(x1_i - x2_j)^2`` per active dimension. This tensor does not
-        depend on ``theta``, so when a ``workspace`` built on the same
-        ``x1`` (with ``x2 is None``) is supplied, the cached copy is
-        returned instead of recomputing. The cache is keyed by the
-        identity of the array the workspace was built from; any other
-        input silently takes the fresh-computation path.
+        ``(x1_i - x2_j)^2`` per active dimension. It does not depend on
+        ``theta``.
         """
-        if (
-            workspace is not None
-            and x2 is None
-            and self in workspace
-            and workspace.get("x_ref") is x1
-        ):
-            return workspace[self]
         x1 = self._slice(x1)
         x2 = x1 if x2 is None else self._slice(x2)
         if x1.shape[1] != self.input_dim or x2.shape[1] != self.input_dim:
@@ -244,44 +234,43 @@ class RBF(Kernel):
             return x
         return x[:, self.active_dims]
 
-    def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
-        workspace[self] = self._sq_diffs(x)
-
     def __call__(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
+        self, x1: np.ndarray, x2: np.ndarray | None = None
     ) -> np.ndarray:
-        return self._from_sq_diffs(self._sq_diffs(x1, x2, workspace))
+        return self._from_sq_diffs(self._sq_diffs(x1, x2))
 
     def _from_sq_diffs(self, sq_diffs: np.ndarray) -> np.ndarray:
         """Covariance from a ``(n1, n2, d)`` :meth:`_sq_diffs` tensor.
 
-        The one place the SE formula is evaluated; callers that already
-        hold the squared differences (NARGP's fused prediction shares one
-        tensor between its two x-factors) skip recomputing them.
+        The one place the SE formula is evaluated for predictions;
+        callers that already hold the squared differences (NARGP's fused
+        prediction shares one tensor between its two x-factors) skip
+        recomputing them.
         """
         return self.variance * np.exp(-0.5 * (sq_diffs @ self._inv_sq_lengthscales))
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         return np.full(_as_2d(x).shape[0], self.variance)
 
-    def value_and_traces(
-        self, x: np.ndarray, workspace: dict | None = None
+    def stack_value_and_traces(
+        self, theta: np.ndarray, sq_diffs: list[np.ndarray]
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        sq_diffs = self._sq_diffs(x, None, workspace)
-        k = self._from_sq_diffs(sq_diffs)
-        inv_sq = self._inv_sq_lengthscales
+        (sq,) = sq_diffs
+        variance = np.exp(theta[:, :1])
+        inv_sq = np.exp(-2.0 * theta[:, 1:])
+        # One (n*n, d) @ (d,) mat-vec per member.
+        k = np.matmul(sq, inv_sq[:, :, None])[:, :, 0]
+        k *= -0.5
+        np.exp(k, out=k)
+        k *= variance
 
         def traces(inner: np.ndarray) -> np.ndarray:
             # dK/d log(variance) = K, dK/d log(l_i) = K * sq_diffs_i / l_i^2,
-            # each contracted as one (n^2,) @ (n^2, d) mat-vec.
+            # each member's contracted as one (n*n,) @ (n*n, d) mat-vec.
             w = inner * k
-            n2 = w.size
-            out = np.empty(1 + inv_sq.size)
-            out[0] = w.sum()
-            out[1:] = (w.reshape(n2) @ sq_diffs.reshape(n2, -1)) * inv_sq
+            out = np.empty((w.shape[0], 1 + inv_sq.shape[1]))
+            out[:, 0] = w.sum(axis=1)
+            out[:, 1:] = np.matmul(w[:, None, :], sq)[:, 0, :] * inv_sq
             return out
 
         return k, traces
@@ -326,13 +315,23 @@ class _Combination(Kernel):
             start = stop
         self._theta_plan = plan
         self._n_params = start
+        # Where the left subtree's columns of a theta stack and entries
+        # of a squared-difference list end.
+        self._left_params = left.n_params
+        self._left_leaves = len(left._leaves())
 
     def _leaves(self) -> list[Kernel]:
         return [leaf for leaf, _, _ in self._theta_plan]
 
-    def _build_workspace(self, x: np.ndarray, workspace: dict) -> None:
-        self.left._build_workspace(x, workspace)
-        self.right._build_workspace(x, workspace)
+    def _stack_children(
+        self, theta: np.ndarray, sq_diffs: list[np.ndarray]
+    ) -> tuple[tuple, tuple]:
+        """Both subtrees' :meth:`stack_value_and_traces` passes."""
+        p, m = self._left_params, self._left_leaves
+        return (
+            self.left.stack_value_and_traces(theta[:, :p], sq_diffs[:m]),
+            self.right.stack_value_and_traces(theta[:, p:], sq_diffs[m:]),
+        )
 
     @property
     def theta(self) -> np.ndarray:
@@ -359,24 +358,24 @@ class Sum(_Combination):
     """Pointwise sum of two kernels."""
 
     def __call__(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
+        self, x1: np.ndarray, x2: np.ndarray | None = None
     ) -> np.ndarray:
-        return self.left(x1, x2, workspace) + self.right(x1, x2, workspace)
+        return self.left(x1, x2) + self.right(x1, x2)
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         return self.left.diag(x) + self.right.diag(x)
 
-    def value_and_traces(
-        self, x: np.ndarray, workspace: dict | None = None
+    def stack_value_and_traces(
+        self, theta: np.ndarray, sq_diffs: list[np.ndarray]
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        k_left, left_traces = self.left.value_and_traces(x, workspace)
-        k_right, right_traces = self.right.value_and_traces(x, workspace)
+        (k_left, left_traces), (k_right, right_traces) = self._stack_children(
+            theta, sq_diffs
+        )
 
         def traces(inner: np.ndarray) -> np.ndarray:
-            return np.concatenate([left_traces(inner), right_traces(inner)])
+            return np.concatenate(
+                [left_traces(inner), right_traces(inner)], axis=1
+            )
 
         return k_left + k_right, traces
 
@@ -385,26 +384,25 @@ class Product(_Combination):
     """Pointwise product of two kernels."""
 
     def __call__(
-        self,
-        x1: np.ndarray,
-        x2: np.ndarray | None = None,
-        workspace: dict | None = None,
+        self, x1: np.ndarray, x2: np.ndarray | None = None
     ) -> np.ndarray:
-        return self.left(x1, x2, workspace) * self.right(x1, x2, workspace)
+        return self.left(x1, x2) * self.right(x1, x2)
 
     def diag(self, x: np.ndarray) -> np.ndarray:
         return self.left.diag(x) * self.right.diag(x)
 
-    def value_and_traces(
-        self, x: np.ndarray, workspace: dict | None = None
+    def stack_value_and_traces(
+        self, theta: np.ndarray, sq_diffs: list[np.ndarray]
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        k_left, left_traces = self.left.value_and_traces(x, workspace)
-        k_right, right_traces = self.right.value_and_traces(x, workspace)
+        (k_left, left_traces), (k_right, right_traces) = self._stack_children(
+            theta, sq_diffs
+        )
 
         def traces(inner: np.ndarray) -> np.ndarray:
             # tr(inner (dK_l o K_r)) = tr((inner o K_r) dK_l), and vice versa.
             return np.concatenate(
-                [left_traces(inner * k_right), right_traces(inner * k_left)]
+                [left_traces(inner * k_right), right_traces(inner * k_left)],
+                axis=1,
             )
 
         return k_left * k_right, traces

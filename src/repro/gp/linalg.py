@@ -4,13 +4,15 @@ All GP computations in :mod:`repro.gp` funnel through this module so that
 jitter policy, triangular solves and log-determinants are implemented once
 and tested once.
 
-The factorization and the solves call LAPACK ``dpotrf``, ``dpotrs`` and
-``dtrtrs`` directly: at GP sizes (n of a few dozen) scipy's
-``cholesky``/``cho_solve``/``solve_triangular`` wrappers cost 2-4x the
-LAPACK call they make. Each helper passes LAPACK the same arrays and
-flags as the scipy function it replaces, so the results are bit-identical
-to scipy's; ``tests/test_linalg.py`` keeps the scipy functions as the
-oracle.
+The posterior cache's factorization and solves call LAPACK ``dpotrf``,
+``dpotrs`` and ``dtrtrs`` directly: at GP sizes (n of a few dozen)
+scipy's ``cholesky``/``cho_solve``/``solve_triangular`` wrappers cost
+2-4x the LAPACK call they make. Each helper passes LAPACK the same arrays
+and flags as the scipy function it replaces, so the results are
+bit-identical to scipy's; ``tests/test_linalg.py`` keeps the scipy
+functions as the oracle. The hyperparameter search factors a whole stack
+of covariance matrices per likelihood pass instead
+(:func:`cholesky_stack`).
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpotrf as _dpotrf
 from scipy.linalg.lapack import dpotrs as _dpotrs
+from scipy.linalg.lapack import dtrtri as _dtrtri
 from scipy.linalg.lapack import dtrtrs as _dtrtrs
 
 __all__ = [
     "jitter_cholesky",
+    "cholesky_stack",
+    "invert_lower_stack",
     "cho_solve",
     "solve_lower",
     "log_det_from_chol",
@@ -105,6 +110,74 @@ def jitter_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
         "matrix is not positive definite even with jitter "
         f"{JITTER_LADDER[-1] * scale:.3e}"
     )
+
+
+def cholesky_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of an ``(r, n, n)`` stack, one jitter ladder
+    per member.
+
+    The stack is factored in one ``np.linalg.cholesky`` call, which runs
+    LAPACK ``dpotrf`` on each member in turn. Only if some member fails
+    does every member climb :data:`JITTER_LADDER` on its own, scaled by
+    its own mean diagonal as in :func:`jitter_cholesky`; rung 0 repeats
+    the stacked call's arithmetic, so a member's factor never depends on
+    which other members share the stack.
+
+    Returns
+    -------
+    (L, ok):
+        The ``(r, n, n)`` factors and an ``(r,)`` mask. ``ok`` is False
+        for a member that fails every rung or whose factor has a
+        non-finite diagonal; its factor is then the identity, so that
+        arithmetic downstream stays finite.
+    """
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        lower = np.empty_like(a)
+        for i, member in enumerate(a):
+            lower[i] = _ladder_cholesky(member)
+    # Each diagonal entry is a square root, so a member's trace is
+    # finite iff its whole diagonal is (OpenBLAS dpotrf reports success
+    # on NaN input, and NaN fails this test).
+    ok = np.isfinite(np.trace(lower, axis1=1, axis2=2))
+    if not ok.all():
+        lower[~ok] = np.eye(a.shape[1])
+    return lower, ok
+
+
+def _ladder_cholesky(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky`` of ``a`` on :data:`JITTER_LADDER`; a
+    NaN-filled matrix when every rung fails."""
+    n = a.shape[0]
+    diag_mean = float(a.trace() / n)
+    scale = diag_mean if diag_mean > 0.0 else 1.0
+    for level in JITTER_LADDER:
+        jitter = level * scale
+        attempt = a if jitter == 0.0 else a + jitter * np.eye(n)
+        try:
+            return np.linalg.cholesky(attempt)
+        except np.linalg.LinAlgError:
+            continue
+    return np.full_like(a, np.nan)
+
+
+def invert_lower_stack(lower: np.ndarray) -> np.ndarray:
+    """``L^-1`` of each member of an ``(r, n, n)`` stack of nonsingular
+    lower-triangular factors.
+
+    One LAPACK ``dtrtri`` call per member: at GP sizes it costs about a
+    fifth of what ``np.linalg.inv`` (an LU solve per member) does on the
+    whole stack.
+    """
+    out = np.empty_like(lower)
+    for i, member in enumerate(lower):
+        out[i], info = _dtrtri(member, lower=1)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"singular triangular factor: zero at diagonal {info - 1}"
+            )
+    return out
 
 
 def cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

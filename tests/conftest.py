@@ -37,8 +37,8 @@ def _dense_gradients(kernel, x):
     """``dK(x, x) / d theta`` as a dense ``(n_params, n, n)`` stack.
 
     Derivatives are taken with respect to the log-space ``theta``. This
-    is the oracle for ``Kernel.value_and_traces``, which contracts the
-    same stack without materializing it.
+    is the oracle for ``Kernel.stack_value_and_traces``, which contracts
+    the same stack without materializing it.
     """
     from repro.gp.kernels import Product, Sum
 

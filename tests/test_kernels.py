@@ -29,17 +29,18 @@ def finite_difference_gradients(kernel, x, eps=1e-6):
 
 
 def assert_gradients_match_fd(kernel, x, dense_gradients):
-    """The dense gradient oracle and the ``value_and_traces`` contraction
-    both agree with central finite differences."""
+    """The dense gradient oracle and the ``stack_value_and_traces``
+    contraction both agree with central finite differences."""
     numeric = finite_difference_gradients(kernel, x)
     np.testing.assert_allclose(
         dense_gradients(kernel, x), numeric, rtol=1e-5, atol=1e-7
     )
     w = np.random.default_rng(99).standard_normal((x.shape[0], x.shape[0]))
     inner = 0.5 * (w + w.T)
-    _, traces = kernel.value_and_traces(x)
+    sq_diffs = [sq[None] for sq in kernel.sq_diffs_by_leaf(x)]
+    _, traces = kernel.stack_value_and_traces(kernel.theta[None], sq_diffs)
     np.testing.assert_allclose(
-        traces(inner),
+        traces(inner.reshape(1, -1))[0],
         np.tensordot(numeric, inner, axes=([1, 2], [0, 1])),
         rtol=1e-5,
         atol=1e-7,
