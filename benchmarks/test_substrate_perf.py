@@ -10,7 +10,9 @@ import pytest
 
 from repro.acquisition import WeightedEI
 from repro.circuits.power_amplifier import simulate_pa
+from repro.core.loop import fit_pairs
 from repro.gp import GPR, nargp_kernel
+from repro.gp.gpr import Likelihood
 from repro.mf import NARGP
 from repro.optim import MSPOptimizer
 from repro.problems import (
@@ -156,7 +158,9 @@ def nlml_shape():
     the negative log marginal likelihood (paper eq. 3) and its gradient
     ~12.6k times per run, so one call's dispatch, not its arithmetic,
     sets the cost of ``gp.fit``. The fused NARGP model (eq. 9) sees the
-    low-fidelity output as a sixth column.
+    low-fidelity output as a sixth column. The benchmarks below time one
+    model at one theta; ``test_fit_pairs_opamp_shape`` times the stacked
+    calls a whole iteration makes.
     """
     rng = np.random.default_rng(12)
     x = rng.random((20, 5))
@@ -166,10 +170,10 @@ def nlml_shape():
 
 
 def _nlml_call(benchmark, model):
-    theta = model._full_theta() + 0.1
-    value, grad = benchmark(model._nlml_and_grad, theta)
-    assert np.isfinite(value) and value < 1e25
-    assert grad.shape == theta.shape and np.all(np.isfinite(grad))
+    theta = (model._full_theta() + 0.1)[None]
+    values, grads = benchmark(Likelihood([model]), theta, np.zeros(1, int))
+    assert np.isfinite(values[0]) and values[0] < 1e25
+    assert grads.shape == theta.shape and np.all(np.isfinite(grads))
 
 
 def test_gpr_nlml_rbf_opamp_shape(benchmark, nlml_shape):
@@ -208,6 +212,38 @@ def test_gpr_fit_opamp_shape(benchmark, nlml_shape, kernel_name):
     model = benchmark(fit)
     assert np.isfinite(model.train_result.nlml)
     assert model.train_result.nlml < 1e25
+
+
+@pytest.fixture(scope="module")
+def fit_pairs_shape():
+    """Training sets of one served op-amp iteration: an objective and
+    four constraints on 17 low- and 14 high-fidelity points in d = 5."""
+    rng = np.random.default_rng(15)
+    x_low, x_high = rng.random((17, 5)), rng.random((14, 5))
+    weights = rng.standard_normal((5, 5))
+    targets_low = [np.sin(x_low @ w) for w in weights]
+    targets_high = [
+        1.5 * np.sin(x_high @ w) + 0.2 * (x_high @ w) ** 2 for w in weights
+    ]
+    return x_low, targets_low, x_high, targets_high
+
+
+def test_fit_pairs_opamp_shape(benchmark, fit_pairs_shape):
+    """One iteration's model fits (§2.3, eq. 9) at the op-amp knobs: a
+    low GP and a fused eq. 9 GP per output, each from its current theta
+    and one random restart, 40 iterations per search."""
+    x_low, targets_low, x_high, targets_high = fit_pairs_shape
+
+    def fit():
+        return fit_pairs(
+            x_low, targets_low, x_high, targets_high,
+            rng=np.random.default_rng(16), n_restarts=1, max_opt_iter=40,
+        )
+
+    low, fused = benchmark(fit)
+    models = low + [f.high_model for f in fused]
+    assert len(models) == 10
+    assert all(m.train_result.nlml < 1e25 for m in models)
 
 
 def test_msp_maximize_opamp_shape(benchmark, polish_shape):

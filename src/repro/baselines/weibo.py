@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.history import History
 from ..core.loop import BOLoop, Stage
-from ..gp.gpr import GPR
+from ..gp.gpr import GPR, fit_hyperparameters
 from ..problems.base import Problem
 
 __all__ = ["WEIBO"]
@@ -85,13 +85,17 @@ class WEIBO(BOLoop):
     # BOLoop hooks
     # ------------------------------------------------------------------
     def _fit(self) -> list[GPR]:
+        """One GP per output, all trained in one lockstep search."""
         x, y, constraints = self.history.data(self._fidelity)
-        return [
-            GPR(max_opt_iter=self.gp_max_opt_iter).fit(
-                x, t, n_restarts=self.n_restarts, rng=self._rng_streams["gp"]
-            )
+        models = [
+            GPR(max_opt_iter=self.gp_max_opt_iter).fit(x, t, optimize=False)
             for t in [y, *constraints.T]
         ]
+        rng = self._rng_streams["gp"]
+        fit_hyperparameters(
+            models, [m.hyperparameter_starts(self.n_restarts, rng) for m in models]
+        )
+        return models
 
     def _stages(self, models: list[GPR]) -> list[Stage]:
         tau, incumbent = self._incumbent(self._fidelity)

@@ -45,8 +45,10 @@ import numpy as np
 
 from ..acquisition.functions import Predictor, ViolationAcquisition, WeightedEI
 from ..design.sampling import maximin_latin_hypercube
-from ..gp.gpr import GPR
+from ..gp.gpr import GPR, fit_hyperparameters
+from ..gp.kernels import nargp_kernel
 from ..mf.nargp import NARGP
+from ..obs import span
 from ..optim.msp import MSPOptimizer, MSPResult
 from ..problems.base import FIDELITY_HIGH, FIDELITY_LOW, Problem
 from ..session.protocol import Suggestion
@@ -72,19 +74,37 @@ def fit_pairs(
 ) -> tuple[list[GPR], list[NARGP]]:
     """One (low GP, fused NARGP) pair per output, in output order.
 
-    Each NARGP reuses its output's low GP. Both fits draw their
-    hyperparameter restarts from ``rng``, low GP first.
+    Each NARGP reuses its output's low GP. Two lockstep searches train
+    them all (:func:`repro.gp.gpr.fit_hyperparameters`): first every
+    output's low GP on ``x_low``, then every output's eq. 9 GP on its
+    augmented ``x_high``. The hyperparameter starts are drawn from
+    ``rng`` up front, in output order and low GP first, so each output
+    gets the starts (and, the likelihood being member-stable, the fit)
+    that fitting it alone in that order would give it.
     """
-    low_models: list[GPR] = []
-    fused_models: list[NARGP] = []
-    for t_low, t_high in zip(targets_low, targets_high):
-        low_gp = GPR(max_opt_iter=max_opt_iter).fit(
-            x_low, t_low, n_restarts=n_restarts, rng=rng
-        )
+    low_models = [
+        GPR(max_opt_iter=max_opt_iter).fit(x_low, t, optimize=False)
+        for t in targets_low
+    ]
+    if not low_models:  # e.g. the constraints of an unconstrained problem
+        return [], []
+    # The eq. 9 GPs do not exist until the low GPs are trained, but
+    # their starts depend only on the kernel's box and defaults.
+    high_template = GPR(kernel=nargp_kernel(x_low.shape[1]))
+    low_starts, high_starts = [], []
+    for low_gp in low_models:
+        low_starts.append(low_gp.hyperparameter_starts(n_restarts, rng))
+        high_starts.append(high_template.hyperparameter_starts(n_restarts, rng))
+    fit_hyperparameters(low_models, low_starts)
+    fused_models = []
+    for low_gp, t_low, t_high in zip(low_models, targets_low, targets_high):
         fused = NARGP(n_restarts=n_restarts, max_opt_iter=max_opt_iter)
-        fused.fit(x_low, t_low, x_high, t_high, rng=rng, low_model=low_gp)
-        low_models.append(low_gp)
+        fused.fit(
+            x_low, t_low, x_high, t_high, rng=rng, low_model=low_gp, optimize=False
+        )
         fused_models.append(fused)
+    with span("nargp.fit", n_high=int(x_high.shape[0]), models=len(fused_models)):
+        fit_hyperparameters([f.high_model for f in fused_models], high_starts)
     return low_models, fused_models
 
 

@@ -3,8 +3,10 @@
 Implements §2.3 of the paper: a zero-mean GP with a user-supplied kernel
 and Gaussian observation noise, trained by minimizing the negative log
 marginal likelihood (paper eq. 3) with analytic gradients and
-multi-restart L-BFGS-B. The likelihood is a pure function of a stack
-of thetas (:class:`Likelihood`).
+multi-restart L-BFGS-B. :func:`fit_hyperparameters` trains several GPs
+of one training-set size at once: every restart of every model is its
+own L-BFGS-B search, the searches advance in lockstep, and one stacked
+:class:`Likelihood` pass serves all of them per round.
 
 Targets are standardized internally (zero mean, unit variance over the
 training set) so kernel hyperparameter bounds behave uniformly across
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs import span
+from ..obs import is_enabled, span
 from ..optim.lbfgsb import lbfgsb
 from ..rng import ensure_rng
 from .kernels import RBF, Kernel
@@ -33,7 +35,7 @@ from .linalg import (
     solve_lower,
 )
 
-__all__ = ["GPR", "Likelihood", "TrainResult"]
+__all__ = ["GPR", "Likelihood", "TrainResult", "fit_hyperparameters"]
 
 _LOG_NOISE_BOUNDS = (np.log(1e-8), np.log(1.0))
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -42,11 +44,14 @@ _LOG_2PI = np.log(2.0 * np.pi)
 #: The value (with a zero gradient) of a theta whose covariance cannot
 #: be factored or whose likelihood is not finite.
 PENALTY = 1e25
+#: The owner index of a one-model likelihood call.
+_OWN = np.zeros(1, dtype=np.intp)
 
 
 @dataclass
 class TrainResult:
-    """Outcome of one hyperparameter optimization run."""
+    """Outcome of one hyperparameter optimization run: the chosen
+    start's NLML, theta and convergence flag."""
 
     nlml: float
     theta: np.ndarray
@@ -219,41 +224,11 @@ class GPR:
         """
         self._set_data(x, y)
         if optimize:
-            # Only the hyperparameter search gets a span: constant-liar
-            # refits call fit(optimize=False) many times per batch and
-            # must stay unobserved even when tracing is on.
-            with span("gp.fit", n=int(x.shape[0]), restarts=int(n_restarts)):
-                self._optimize_hyperparameters(n_restarts, rng)
-        self._update_posterior_cache()
+            starts = self.hyperparameter_starts(n_restarts, ensure_rng(rng))
+            fit_hyperparameters([self], [starts])
+        else:
+            self._update_posterior_cache()
         return self
-
-    def _optimize_hyperparameters(
-        self, n_restarts: int, rng: np.random.Generator | None
-    ) -> None:
-        starts = self.hyperparameter_starts(n_restarts, ensure_rng(rng))
-        bounds = np.array(self._full_bounds())
-        likelihood = Likelihood([self])
-
-        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            values, grads = likelihood(theta[None], _OWN)
-            return float(values[0]), grads[0]
-
-        best_value, best_theta, any_success = np.inf, starts[0], False
-        for start in starts:
-            theta, value, success = lbfgsb(
-                objective, start, bounds[:, 0], bounds[:, 1], self.max_opt_iter
-            )
-            if np.isfinite(value) and value < best_value:
-                best_value = value
-                best_theta = theta
-                any_success = any_success or success
-        self._set_full_theta(best_theta)
-        self.train_result = TrainResult(
-            nlml=best_value,
-            theta=best_theta,
-            n_restarts=n_restarts,
-            success=any_success,
-        )
 
     def _update_posterior_cache(self) -> None:
         x, y = self._x_train, self._y_train
@@ -432,10 +407,6 @@ class GPR:
         return mu * self._y_scale + self._y_shift + 0.0
 
 
-#: The owner index of a one-model likelihood call.
-_OWN = np.zeros(1, dtype=np.intp)
-
-
 class Likelihood:
     """Eq. 3's negative log marginal likelihood and its gradient for a
     stack of GPs, as a pure function of theta.
@@ -520,3 +491,78 @@ class Likelihood:
             nlml[failed] = PENALTY
             grad[failed] = 0.0
         return nlml, grad
+
+
+def fit_hyperparameters(
+    models: Sequence[GPR], starts: Sequence[np.ndarray]
+) -> None:
+    """Train every model's hyperparameters (eq. 3) in one lockstep search.
+
+    The models share a kernel structure, a training-set size and
+    ``max_opt_iter``, and each holds its training data. ``starts[i]`` is
+    model ``i``'s stack of starting thetas
+    (:meth:`GPR.hyperparameter_starts`). Every start of every model is
+    its own L-BFGS-B search, with scipy's exact algorithm; the searches
+    advance in lockstep (:func:`repro.optim.lbfgsb.lbfgsb`), so each
+    round makes one stacked :class:`Likelihood` call. The pass is
+    member-stable, so each model ends with the bits a search over its
+    own starts alone would give it.
+
+    Each model keeps the theta of its best start (the first, on a tie),
+    records a :class:`TrainResult` for it and rebuilds its posterior
+    cache.
+    """
+    if not models:
+        return
+    first = models[0]
+    if any(model.max_opt_iter != first.max_opt_iter for model in models):
+        raise ValueError("models in one search must share max_opt_iter")
+    likelihood = Likelihood(models)
+    owner = np.repeat(np.arange(len(models)), [len(s) for s in starts])
+    bounds = np.array(first._full_bounds())
+    lower, upper = bounds[:, 0], bounds[:, 1]
+    counts = [0, 0]  # lockstep rounds, likelihood evaluations
+
+    def objective(
+        theta: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        counts[0] += 1
+        counts[1] += rows.size
+        return likelihood(theta, owner[rows])
+
+    # Only the hyperparameter search gets a span: constant-liar refits
+    # call fit(optimize=False) many times per batch and must stay
+    # unobserved even when tracing is on.
+    with span(
+        "gp.fit", n=first.n_train, models=len(models), starts=int(owner.size)
+    ) as fit_span:
+        thetas, values, converged = lbfgsb(
+            objective, np.concatenate(starts), lower, upper, first.max_opt_iter
+        )
+        results, begin = [], 0
+        for model, model_starts in zip(models, starts):
+            end = begin + len(model_starts)
+            best_value, best = np.inf, begin
+            for i in range(begin, end):
+                if np.isfinite(values[i]) and values[i] < best_value:
+                    best_value, best = float(values[i]), i
+            model._set_full_theta(thetas[best])
+            model.train_result = TrainResult(
+                nlml=best_value,
+                theta=thetas[best],
+                n_restarts=len(model_starts) - 1,
+                success=bool(np.isfinite(best_value) and converged[best]),
+            )
+            results.append(model.train_result)
+            begin = end
+        if is_enabled():
+            chosen = np.array([result.theta for result in results])
+            on_bound = ((chosen == lower) | (chosen == upper)).any(axis=1)
+            fit_span.set(
+                rounds=counts[0],
+                evaluations=counts[1],
+                on_bound=int(on_bound.sum()),
+                converged=sum(result.success for result in results),
+            )
+    for model in models:
+        model._update_posterior_cache()

@@ -80,6 +80,7 @@ class NARGP:
         y_high: np.ndarray,
         rng: np.random.Generator | None = None,
         low_model: GPR | None = None,
+        optimize: bool = True,
     ) -> "NARGP":
         """Train the low-fidelity GP and the fused high-fidelity GP.
 
@@ -94,6 +95,11 @@ class NARGP:
             reuse (the BO loop fits the low GP once per iteration for the
             low-fidelity acquisition and shares it here). When omitted a
             fresh GP is fit on ``(x_low, y_low)``.
+        optimize:
+            If ``False``, the GPs get their data and a posterior at their
+            initial hyperparameters, and nothing is searched or drawn:
+            :func:`repro.core.loop.fit_pairs` then trains every output's
+            fused GP in one search.
         """
         rng = ensure_rng(rng)
         x_low = np.atleast_2d(np.asarray(x_low, dtype=float))
@@ -108,13 +114,18 @@ class NARGP:
             self.low_model = low_model
         else:
             self.low_model = GPR(max_opt_iter=self.max_opt_iter)
-            self.low_model.fit(x_low, y_low, n_restarts=self.n_restarts, rng=rng)
+            self.low_model.fit(
+                x_low, y_low, self.n_restarts, rng=rng, optimize=optimize
+            )
 
         mu_low_at_high = self.low_model.predict_mean(x_high)
         augmented = np.column_stack([x_high, mu_low_at_high])
         self.high_model = GPR(
             kernel=nargp_kernel(self._dim), max_opt_iter=self.max_opt_iter
         )
+        if not optimize:
+            self.high_model.fit(augmented, y_high, optimize=False)
+            return self
         with span("nargp.fit", n_high=int(x_high.shape[0])):
             self.high_model.fit(
                 augmented, y_high, n_restarts=self.n_restarts, rng=rng

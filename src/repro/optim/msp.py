@@ -158,12 +158,14 @@ class MSPOptimizer:
         best_value = float(values[best_idx])
 
         negative = self._make_polish_objective(acquisition, eval_counter)
-        lower, upper = np.zeros(self.dim), np.ones(self.dim)
-        for idx in order[: self.n_polish]:
-            x, value, _ = lbfgsb(negative, starts[idx], lower, upper, 50)
-            if np.isfinite(value) and -value > best_value:
-                best_value = -value
-                best_x = np.clip(x, 0.0, 1.0)
+        polish = order[: self.n_polish]
+        if polish.size:
+            lower, upper = np.zeros(self.dim), np.ones(self.dim)
+            xs, negated, _ = lbfgsb(negative, starts[polish], lower, upper, 50)
+            for x, value in zip(xs, negated):
+                if np.isfinite(value) and -value > best_value:
+                    best_value = float(-value)
+                    best_x = np.clip(x, 0.0, 1.0)
         return MSPResult(
             x=best_x, value=best_value, n_evaluations=eval_counter[0]
         )
@@ -173,33 +175,47 @@ class MSPOptimizer:
         self,
         acquisition: Callable[[np.ndarray], np.ndarray],
         eval_counter: list[int],
-    ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-        """Negated acquisition with a **batched** finite-difference jacobian.
+    ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Negated acquisition with a **batched** finite-difference jacobian,
+        for every polish search that asks in one lockstep round.
 
         scipy's derivative-free L-BFGS-B approximates the gradient with
         ``d + 1`` separate single-point calls to the objective; for a
         GP-backed acquisition each of those calls pays the full
-        kernel-evaluation overhead. Here the whole forward-difference
-        stencil is evaluated as one ``(d + 1, d)`` batch, so one polish
-        step costs a single batched acquisition call. ``eval_counter``
-        (a one-element list) accumulates the true number of acquisition
+        kernel-evaluation overhead. Here the forward-difference stencils
+        of all ``j`` asking searches are evaluated as one
+        ``(j (d + 1), d)`` batch, so one lockstep round of the polish
+        costs a single batched acquisition call. ``eval_counter`` (a
+        one-element list) accumulates the true number of acquisition
         evaluations across calls.
         """
         step = _FD_STEP
+        coords = np.arange(self.dim)
 
-        def negative_and_grad(x_flat: np.ndarray) -> tuple[float, np.ndarray]:
-            x0 = np.asarray(x_flat, dtype=float).ravel()
+        def negative_and_grad(
+            x: np.ndarray, rows: np.ndarray
+        ) -> tuple[np.ndarray, np.ndarray]:
             # Step backwards at the upper bound so the stencil stays in
             # the unit cube that callers guarantee.
-            steps = np.where(x0 + step <= 1.0, step, -step)
-            batch = np.vstack([x0[None, :], x0[None, :] + np.diag(steps)])
+            steps = np.where(x + step <= 1.0, step, -step)
+            # Each search's stencil: its point, then one step per axis.
+            offsets = np.zeros((x.shape[0], self.dim + 1, self.dim))
+            offsets[:, 1 + coords, coords] = steps
+            batch = (x[:, None, :] + offsets).reshape(-1, self.dim)
             eval_counter[0] += batch.shape[0]
-            values = np.asarray(acquisition(batch), dtype=float).ravel()
-            f0 = values[0]
-            if not np.isfinite(f0):
-                return 1e25, np.zeros(self.dim)
-            grad = (values[1:] - f0) / steps
+            values = np.asarray(acquisition(batch), dtype=float).reshape(
+                x.shape[0], self.dim + 1
+            )
+            f0 = values[:, 0]
+            with np.errstate(invalid="ignore", over="ignore"):
+                grad = (values[:, 1:] - f0[:, None]) / steps
             grad[~np.isfinite(grad)] = 0.0
-            return -float(f0), -grad
+            negated, negated_grad = -f0, -grad
+            # A search at a point the acquisition cannot score gets a
+            # prohibitive value and a zero gradient.
+            failed = ~np.isfinite(f0)
+            negated[failed] = 1e25
+            negated_grad[failed] = 0.0
+            return negated, negated_grad
 
         return negative_and_grad

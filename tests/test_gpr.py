@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.gp import GPR, RBF
+from repro.core.loop import fit_pairs
+from repro.gp import GPR, RBF, nargp_kernel
+from repro.gp import gpr as gpr_module
+from repro.gp.gpr import Likelihood, fit_hyperparameters
 from repro.gp.linalg import CholeskyError
+
+
+def nlml_and_grad(model, theta):
+    """One model's eq. 3 value and gradient at ``theta``."""
+    values, grads = Likelihood([model])(np.asarray(theta)[None], np.zeros(1, int))
+    return float(values[0]), grads[0]
 
 
 @pytest.fixture
@@ -103,14 +112,14 @@ class TestTraining:
         model = GPR()
         model.fit(x, y, optimize=False)
         theta0 = model._full_theta()
-        _, analytic = model._nlml_and_grad(theta0)
+        _, analytic = nlml_and_grad(model, theta0)
         eps = 1e-6
         for j in range(theta0.size):
             tp, tm = theta0.copy(), theta0.copy()
             tp[j] += eps
             tm[j] -= eps
-            fp, _ = model._nlml_and_grad(tp)
-            fm, _ = model._nlml_and_grad(tm)
+            fp, _ = nlml_and_grad(model, tp)
+            fm, _ = nlml_and_grad(model, tm)
             numeric = (fp - fm) / (2 * eps)
             assert analytic[j] == pytest.approx(numeric, rel=1e-3, abs=1e-6)
 
@@ -139,7 +148,7 @@ class TestEveryRestartFails:
     def test_nlml_maps_non_finite_kernel_to_penalty(self):
         model = GPR(kernel=_nan_variance_rbf())
         model._set_data(self.x, self.y)
-        value, grad = model._nlml_and_grad(model._full_theta())
+        value, grad = nlml_and_grad(model, model._full_theta())
         assert value == 1e25
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -217,3 +226,106 @@ class TestValidation:
         assert model.n_train == 5
         assert model.x_train.shape == (5, 2)
         assert model.y_train.shape == (5,)
+
+
+class TestLockstepFit:
+    """``fit_hyperparameters`` trains several models in one lockstep
+    search; the stacked likelihood is member-stable, so each model gets
+    the bits fitting it alone gives it."""
+
+    def test_fit_pairs_matches_fitting_each_output_alone(self):
+        rng = np.random.default_rng(3)
+        x_low, x_high = rng.random((12, 3)), rng.random((6, 3))
+        weights = rng.standard_normal((3, 3))
+        t_low = [np.sin(x_low @ w) for w in weights]
+        t_high = [np.sin(x_high @ w) + 0.3 * (x_high @ w) for w in weights]
+        low, fused = fit_pairs(
+            x_low, t_low, x_high, t_high,
+            rng=np.random.default_rng(11), n_restarts=2, max_opt_iter=30,
+        )
+        low_template = GPR(kernel=RBF(3, lengthscales=0.5))
+        high_template = GPR(kernel=nargp_kernel(3))
+        for i in range(3):
+            # Replay the draws of the outputs before this one.
+            alone_rng = np.random.default_rng(11)
+            for _ in range(i):
+                low_template.hyperparameter_starts(2, alone_rng)
+                high_template.hyperparameter_starts(2, alone_rng)
+            low_alone = GPR(max_opt_iter=30).fit(
+                x_low, t_low[i], n_restarts=2, rng=alone_rng
+            )
+            augmented = np.column_stack([x_high, low_alone.predict_mean(x_high)])
+            high_alone = GPR(kernel=nargp_kernel(3), max_opt_iter=30).fit(
+                augmented, t_high[i], n_restarts=2, rng=alone_rng
+            )
+            for together, alone in (
+                (low[i], low_alone), (fused[i].high_model, high_alone)
+            ):
+                assert together._full_theta().tobytes() == (
+                    alone._full_theta().tobytes()
+                )
+                assert together.train_result.nlml == alone.train_result.nlml
+                assert (
+                    together.train_result.success == alone.train_result.success
+                )
+
+    def test_a_member_that_never_factors_leaves_the_others_untouched(self):
+        """One model's first start has a NaN variance, so every Cholesky
+        of its search fails (the penalty path); the other models end
+        with the bits they get alone, and the failing model recovers
+        through its finite restarts."""
+        x = TestEveryRestartFails.x
+        targets = [np.sin(4.0 * x[:, 0]), np.cos(3.0 * x[:, 0]), x[:, 0] ** 2]
+
+        def model(i):
+            kernel = _nan_variance_rbf() if i == 1 else RBF(1)
+            gp = GPR(kernel=kernel, max_opt_iter=30)
+            gp._set_data(x, targets[i])  # no posterior at the NaN theta
+            return gp
+
+        rng = np.random.default_rng(4)
+        together = [model(i) for i in range(3)]
+        starts = [m.hyperparameter_starts(2, rng) for m in together]
+        fit_hyperparameters(together, starts)
+        for i in (0, 2):
+            alone = model(i)
+            fit_hyperparameters([alone], [starts[i]])
+            assert together[i]._full_theta().tobytes() == (
+                alone._full_theta().tobytes()
+            )
+            assert together[i].train_result.nlml == alone.train_result.nlml
+        failed = together[1]
+        values, _ = Likelihood([failed])(starts[1][:1], np.zeros(1, int))
+        assert values[0] == 1e25  # the NaN start never factors
+        assert failed.train_result.nlml < 1e25
+        assert np.all(np.isfinite(failed.kernel.theta))
+
+    def test_success_reports_the_chosen_start(self, monkeypatch):
+        """The flag is the chosen start's convergence, not whether any
+        improving start converged."""
+
+        def two_searches(fun, x0, lower, upper, maxiter):
+            # start 0 converged at 5.0; start 1 hit its cap at 3.0
+            return x0, np.array([5.0, 3.0]), np.array([True, False])
+
+        monkeypatch.setattr(gpr_module, "lbfgsb", two_searches)
+        x = np.linspace(0.0, 1.0, 6)[:, None]
+        model = GPR().fit(x, np.sin(x[:, 0]), n_restarts=1,
+                          rng=np.random.default_rng(0))
+        assert model.train_result.nlml == 3.0
+        assert model.train_result.success is False
+
+    def test_no_outputs_no_models(self):
+        x = np.random.default_rng(0).random((5, 2))
+        assert fit_pairs(
+            x, [], x[:2], [], rng=np.random.default_rng(1), n_restarts=1,
+            max_opt_iter=5,
+        ) == ([], [])
+
+    def test_models_must_share_size_and_kernel(self):
+        small = GPR().fit(np.random.default_rng(0).random((5, 2)), np.ones(5),
+                          optimize=False)
+        large = GPR().fit(np.random.default_rng(1).random((6, 2)), np.ones(6),
+                          optimize=False)
+        with pytest.raises(ValueError, match="one training-set size"):
+            Likelihood([small, large])

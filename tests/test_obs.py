@@ -255,6 +255,69 @@ class TestTelemetry:
             assert key in first
         assert strategy.take_telemetry() == []  # drained
 
+    def test_gp_fit_spans_report_each_shared_search(self):
+        """Each lockstep fit's span says how many models and starts it
+        trained, in how many rounds and likelihood evaluations, and how
+        many chosen thetas sit on their box or converged; the eq. 9
+        search nests in its nargp.fit span."""
+        from repro.core.loop import fit_pairs
+        from repro.gp import GPR
+
+        rng = np.random.default_rng(5)
+        x_low, x_high = rng.random((10, 2)), rng.random((4, 2))
+        t_low = [np.sin(3 * x_low[:, 0]), np.cos(2 * x_low[:, 1])]
+        t_high = [np.sin(3 * x_high[:, 0]), np.cos(2 * x_high[:, 1])]
+        sink = MemorySink()
+        with tracing(sink):
+            low, fused = fit_pairs(
+                x_low, t_low, x_high, t_high,
+                rng=np.random.default_rng(6), n_restarts=1, max_opt_iter=15,
+            )
+        fits = [r for r in sink.records if r["name"] == "gp.fit"]
+        (nargp,) = [r for r in sink.records if r["name"] == "nargp.fit"]
+        assert len(fits) == 2
+        assert fits[1]["parent_id"] == nargp["span_id"]
+        for record, models in zip(fits, (low, [f.high_model for f in fused])):
+            attrs = record["attrs"]
+            assert attrs["models"] == 2 and attrs["starts"] == 4
+            assert 1 <= attrs["rounds"] <= 15 * 21  # maxls 20 per iteration
+            assert attrs["rounds"] <= attrs["evaluations"] <= 4 * attrs["rounds"]
+            assert attrs["converged"] == sum(
+                m.train_result.success for m in models
+            )
+            on_bound = 0
+            for m in models:
+                bounds = np.array(m._full_bounds())
+                theta = m.train_result.theta
+                on_bound += bool(
+                    ((theta == bounds[:, 0]) | (theta == bounds[:, 1])).any()
+                )
+            assert attrs["on_bound"] == on_bound
+        # one model, one search of two starts, through GPR.fit
+        with tracing(sink):
+            GPR(max_opt_iter=10).fit(
+                x_low, t_low[0], n_restarts=1, rng=np.random.default_rng(7)
+            )
+        assert sink.records[-1]["name"] == "gp.fit"
+        assert sink.records[-1]["attrs"]["models"] == 1
+        assert sink.records[-1]["attrs"]["starts"] == 2
+
+    def test_disabled_gp_fit_sets_no_attributes(self, monkeypatch):
+        """With tracing off the fit neither computes nor attaches its
+        outcome attributes: the shared no-op span is never touched."""
+        from repro.gp import GPR
+        from repro.obs import trace
+
+        def refuse(self, **attrs):
+            raise AssertionError("attributes set on a disabled span")
+
+        monkeypatch.setattr(trace._NoopSpan, "set", refuse)
+        x = np.linspace(0.0, 1.0, 6)[:, None]
+        model = GPR(max_opt_iter=10).fit(
+            x, np.sin(x[:, 0]), n_restarts=1, rng=np.random.default_rng(0)
+        )
+        assert model.train_result is not None
+
     def test_vault_events_carry_ts_and_split_cleanly(self, tmp_path):
         from repro.service import RunVault
 

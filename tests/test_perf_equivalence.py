@@ -2,13 +2,14 @@
 
 Every performance shortcut in the GP stack — kernel workspace caching,
 the single-Cholesky NLML gradient, batched NARGP Monte-Carlo fusion,
-incremental Cholesky updates and the direct ``setulb`` L-BFGS-B loop —
-must produce the same numbers as the straightforward reference
-computation. These tests pin that equivalence to tight tolerances, or
-bit for bit, on seeded data.
+incremental Cholesky updates, the stacked likelihood and the lockstep
+``setulb`` L-BFGS-B loop — must produce the same numbers as the
+straightforward reference computation. These tests pin that equivalence
+to tight tolerances, or bit for bit, on seeded data.
 """
 
 import copy
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -22,20 +23,26 @@ from scipy.optimize import minimize
 from repro.acquisition import WeightedEI
 from repro.core import MFBOptimizer
 from repro.gp import GPR
+from repro.gp.gpr import Likelihood
 from repro.gp.kernels import RBF, Product, Sum, nargp_kernel
 from repro.gp.linalg import (
     JITTER_LADDER,
     CholeskyError,
+    cho_solve,
     chol_append,
     jitter_cholesky,
+    log_det_from_chol,
+    solve_lower,
 )
 from repro.mf import NARGP
+from repro.gp import gpr as gpr_module
+from repro.optim import lbfgsb as lbfgsb_module
 from repro.optim.msp import MSPOptimizer
 from repro.problems import ForresterProblem, pedagogical_high, pedagogical_low
 
 
 # ---------------------------------------------------------------------------
-# kernel workspace caching
+# stacked kernel passes and the stacked likelihood
 # ---------------------------------------------------------------------------
 KERNELS = pytest.mark.parametrize(
     "make_kernel",
@@ -48,78 +55,103 @@ KERNELS = pytest.mark.parametrize(
 )
 
 
+def _stack_pass(kernel, x, thetas):
+    """K and the traces function of a stacked pass over ``thetas``."""
+    sq_diffs = [sq[None] for sq in kernel.sq_diffs_by_leaf(x)]
+    return kernel.stack_value_and_traces(np.asarray(thetas), sq_diffs)
+
+
+def _symmetric(rng, n):
+    w = rng.standard_normal((n, n))
+    return 0.5 * (w + w.T)
+
+
 @KERNELS
-def test_workspace_matches_fresh_evaluation(make_kernel):
-    """K(x, x) and its gradient traces from a cached workspace are
-    identical to the fresh computation, including after theta updates."""
+def test_stacked_kernel_matches_kernel_call(make_kernel):
+    """Each member's K equals ``kernel(x)`` at its theta (the SE formula
+    evaluated per member instead of on the (n, n, d) tensor)."""
     kernel = make_kernel()
     rng = np.random.default_rng(0)
     x = rng.random((15, 4))
-    w = rng.standard_normal((15, 15))
-    inner = 0.5 * (w + w.T)
-    workspace = kernel.make_workspace(x)
+    thetas = kernel.theta + rng.normal(scale=0.3, size=(4, kernel.n_params))
+    k, _ = _stack_pass(kernel, x, thetas)
+    for theta, k_member in zip(thetas, k):
+        kernel.theta = theta
+        np.testing.assert_allclose(
+            k_member.reshape(15, 15), kernel(x), rtol=1e-13, atol=1e-300
+        )
 
-    def assert_same():
-        np.testing.assert_array_equal(kernel(x, workspace=workspace), kernel(x))
-        k_ws, traces_ws = kernel.value_and_traces(x, workspace)
-        k, traces = kernel.value_and_traces(x)
-        assert k_ws.tobytes() == k.tobytes()
-        assert traces_ws(inner).tobytes() == traces(inner).tobytes()
 
-    assert_same()
-    # The workspace is theta-independent: mutate every hyperparameter and
-    # the cached tensors must still reproduce the fresh evaluation.
-    kernel.theta = kernel.theta + rng.normal(scale=0.3, size=kernel.n_params)
-    assert_same()
+@KERNELS
+def test_stacked_pass_is_member_stable(make_kernel):
+    """A member's K and traces are the same bits alone, first, last or in
+    the middle of a stack, and with shared or per-member inputs."""
+    kernel = make_kernel()
+    rng = np.random.default_rng(1)
+    x = rng.random((11, 4))
+    thetas = kernel.theta + rng.normal(scale=0.4, size=(5, kernel.n_params))
+    inner = np.stack([_symmetric(rng, 11).ravel() for _ in range(5)])
+    k, traces = _stack_pass(kernel, x, thetas)
+    together = k.copy(), traces(inner)
+    per_member = [np.repeat(sq[None], 5, axis=0)
+                  for sq in kernel.sq_diffs_by_leaf(x)]
+    k_own, traces_own = kernel.stack_value_and_traces(thetas, per_member)
+    assert k_own.tobytes() == together[0].tobytes()
+    assert traces_own(inner).tobytes() == together[1].tobytes()
+    for i in range(5):
+        for rows in ([i], [i, (i + 1) % 5], [(i + 2) % 5, (i + 4) % 5, i]):
+            k_sub, traces_sub = _stack_pass(kernel, x, thetas[rows])
+            at = rows.index(i)
+            assert k_sub[at].tobytes() == together[0][i].tobytes()
+            assert (
+                traces_sub(inner[rows])[at].tobytes()
+                == together[1][i].tobytes()
+            )
 
 
 @KERNELS
 def test_gradient_traces_match_gradient_stack(make_kernel, dense_gradients):
-    """The closed-form trace contraction of a ``value_and_traces`` pass,
-    whose ``K`` is ``kernel(x)`` bit for bit, equals contracting the full
-    (n_params, n, n) gradient stack."""
+    """The closed-form trace contraction of a stacked pass equals
+    contracting the full (n_params, n, n) gradient stack."""
     kernel = make_kernel()
     rng = np.random.default_rng(14)
     x = rng.random((12, 4))
-    w = rng.standard_normal((12, 12))
-    inner = 0.5 * (w + w.T)
+    inner = _symmetric(rng, 12)
     reference = np.tensordot(
         dense_gradients(kernel, x), inner, axes=([1, 2], [0, 1])
     )
-    k, traces = kernel.value_and_traces(x, kernel.make_workspace(x))
-    assert k.tobytes() == kernel(x).tobytes()
-    np.testing.assert_allclose(traces(inner), reference, rtol=1e-10, atol=1e-12)
-
-
-def test_workspace_guarded_by_input_identity():
-    """A workspace is keyed to the array it was built from: a different
-    array of the same shape must take the fresh-computation path."""
-    kernel = RBF(2, lengthscales=[0.4, 0.9])
-    rng = np.random.default_rng(15)
-    x = rng.random((8, 2))
-    other = rng.random((8, 2))
-    workspace = kernel.make_workspace(x)
-    np.testing.assert_array_equal(
-        kernel(other, workspace=workspace), kernel(other)
+    _, traces = _stack_pass(kernel, x, kernel.theta[None])
+    np.testing.assert_allclose(
+        traces(inner.reshape(1, -1))[0], reference, rtol=1e-10, atol=1e-12
     )
-    assert not np.array_equal(kernel(other, workspace=workspace), kernel(x))
 
 
-def test_workspace_ignored_for_cross_covariances():
-    """A workspace built on the training set must not leak into K(x*, x)."""
-    kernel = RBF(2, lengthscales=[0.4, 0.9])
-    rng = np.random.default_rng(1)
-    x = rng.random((10, 2))
-    x_star = rng.random((6, 2))
-    workspace = kernel.make_workspace(x)
-    np.testing.assert_array_equal(
-        kernel(x_star, x, workspace=workspace), kernel(x_star, x)
-    )
+@pytest.mark.parametrize("make_kernel", [lambda: RBF(3), lambda: nargp_kernel(2)])
+def test_stacked_pass_is_a_pure_function_of_theta(make_kernel):
+    """The pass reads the theta it is given, never the kernel's own."""
+    kernel = make_kernel()
+    rng = np.random.default_rng(22)
+    x = rng.random((9, 3))
+    thetas = kernel.theta + rng.normal(scale=0.3, size=(2, kernel.n_params))
+    inner = np.stack([_symmetric(rng, 9).ravel() for _ in range(2)])
+    k, traces = _stack_pass(kernel, x, thetas)
+    expected = k.copy(), traces(inner)
+    kernel.theta = kernel.theta + 0.5
+    k_again, traces_again = _stack_pass(kernel, x, thetas)
+    assert k_again.tobytes() == expected[0].tobytes()
+    assert traces_again(inner).tobytes() == expected[1].tobytes()
+    assert traces(inner).tobytes() == expected[1].tobytes()
+
+
+def _nlml_at(model, theta):
+    """One model's likelihood at one theta, through the stacked pass."""
+    values, grads = Likelihood([model])(np.asarray(theta)[None], np.zeros(1, int))
+    return float(values[0]), grads[0]
 
 
 def test_nlml_and_grad_matches_reference_formulation(dense_gradients):
-    """The workspace-cached, single-Cholesky NLML/gradient equals the
-    textbook dense-inverse formulation (the seed implementation)."""
+    """The stacked NLML/gradient equals the textbook dense-inverse
+    formulation (the seed implementation)."""
     rng = np.random.default_rng(2)
     x = rng.random((25, 3))
     y = np.sin(x @ np.array([2.0, -1.0, 0.5])) + 0.05 * rng.standard_normal(25)
@@ -127,11 +159,12 @@ def test_nlml_and_grad_matches_reference_formulation(dense_gradients):
 
     theta = np.concatenate([model.kernel.theta, [np.log(model.noise_variance)]])
     for probe in (theta, theta + 0.2, theta - 0.3):
-        nlml, grad = model._nlml_and_grad(probe)
+        nlml, grad = _nlml_at(model, probe)
 
         # reference: fresh kernel evaluation, explicit K^{-1}
         from scipy.linalg import cho_solve as ref_cho_solve
 
+        model._set_full_theta(probe)
         n = x.shape[0]
         k = model.kernel(x) + model.noise_variance * np.eye(n)
         lower, _ = jitter_cholesky(k)
@@ -154,8 +187,60 @@ def test_nlml_and_grad_matches_reference_formulation(dense_gradients):
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-8, atol=1e-10)
 
 
-# The oracle: GPR._nlml_and_grad as it was before the direct LAPACK calls
-# and the one-pass kernel traces, kept verbatim: scipy.linalg for the
+# The likelihood oracle: GPR._nlml_and_grad and Kernel.value_and_traces
+# as they were before the stacked likelihood, kept verbatim (with the
+# kernel workspace, which only cached _sq_diffs, inlined): one model, one
+# theta written into the model, scipy-exact LAPACK calls.
+def reference_value_and_traces(kernel, x):
+    if isinstance(kernel, RBF):
+        sq_diffs = kernel._sq_diffs(x)
+        k = kernel._from_sq_diffs(sq_diffs)
+        inv_sq = kernel._inv_sq_lengthscales
+
+        def traces(inner):
+            w = inner * k
+            n2 = w.size
+            out = np.empty(1 + inv_sq.size)
+            out[0] = w.sum()
+            out[1:] = (w.reshape(n2) @ sq_diffs.reshape(n2, -1)) * inv_sq
+            return out
+
+        return k, traces
+    k_left, left_traces = reference_value_and_traces(kernel.left, x)
+    k_right, right_traces = reference_value_and_traces(kernel.right, x)
+    if isinstance(kernel, Sum):
+        return k_left + k_right, lambda inner: np.concatenate(
+            [left_traces(inner), right_traces(inner)]
+        )
+    return k_left * k_right, lambda inner: np.concatenate(
+        [left_traces(inner * k_right), right_traces(inner * k_left)]
+    )
+
+
+def reference_nlml_and_grad(model, theta):
+    model._set_full_theta(theta)
+    y = model._y_train
+    k_noise_free, traces = reference_value_and_traces(model.kernel, model._x_train)
+    try:
+        lower, _ = jitter_cholesky(k_noise_free + model.noise_variance * model._eye)
+    except CholeskyError:
+        return 1e25, np.zeros_like(theta)
+    alpha = cho_solve(lower, y)
+    nlml = 0.5 * (
+        float(y @ alpha) + log_det_from_chol(lower) + y.size * np.log(2.0 * np.pi)
+    )
+    if not np.isfinite(nlml):
+        return 1e25, np.zeros_like(theta)
+    lower_inv = solve_lower(lower, model._eye)
+    inner = lower_inv.T @ lower_inv - alpha[:, None] * alpha
+    grad = np.empty(theta.size)
+    grad[:-1] = 0.5 * traces(inner)
+    grad[-1] = 0.5 * model.noise_variance * float(inner.trace())
+    return nlml, grad
+
+
+# The reference's own oracle: the likelihood as it was before the direct
+# LAPACK calls and the one-pass kernel traces: scipy.linalg for the
 # factorization and the solves, kernel(x) for K, then a separate
 # gradient_traces pass with the precomputed K (k=) in which Product
 # re-evaluated both factors and Sum passed no K down.
@@ -248,12 +333,10 @@ def oracle_nlml_and_grad(model, theta):
     return nlml, grad
 
 
-@pytest.mark.parametrize("kernel_name", ["rbf", "eq9"])
-def test_nlml_and_grad_matches_oracle_bitwise(kernel_name):
-    """Value and gradient bytes equal the oracle's at several theta,
-    including a near-singular K that climbs the jitter ladder. Every
-    call writes a new theta, and the kernel's own theta is also written
-    between calls, so factors cached across a theta write would fail."""
+def _likelihood_probes(kernel_name):
+    """A model on a training set with repeated designs, and thetas: the
+    default, shifted ones, draws over the box, and a near-singular K
+    (a noise far below its bound) that climbs the jitter ladder."""
     rng = np.random.default_rng(21)
     d, n = 5, 20
     x = rng.random((n, d))
@@ -265,38 +348,59 @@ def test_nlml_and_grad_matches_oracle_bitwise(kernel_name):
         model = GPR(kernel=nargp_kernel(d))
         x = np.column_stack([x, np.cos(3.0 * x[:, 0])])
     model.fit(x, y, optimize=False)
-    oracle = copy.deepcopy(model)
     bounds = np.array(model._full_bounds())
     theta0 = model._full_theta()
     probes = [theta0, theta0 + 0.3, theta0 - 0.4]
     probes += list(rng.uniform(bounds[:, 0], bounds[:, 1], size=(6, theta0.size)))
-    # Repeated designs with a noise far below its bound: rung 0 of the
-    # jitter ladder fails.
     near_singular = theta0.copy()
     near_singular[-1] = np.log(1e-20)
     probes += [near_singular, theta0]
+    return model, probes
+
+
+@pytest.mark.parametrize("kernel_name", ["rbf", "eq9"])
+def test_reference_likelihood_matches_its_oracle_bitwise(kernel_name):
+    """The moved reference is still the likelihood its own oracle pins:
+    value and gradient bytes are equal at every probe."""
+    model, probes = _likelihood_probes(kernel_name)
+    oracle = copy.deepcopy(model)
     for theta in probes:
-        value, grad = model._nlml_and_grad(theta)
+        value, grad = reference_nlml_and_grad(model, theta)
         expected_value, expected_grad = oracle_nlml_and_grad(oracle, theta)
         assert float(value) == float(expected_value)
         assert grad.tobytes() == expected_grad.tobytes()
-        model.kernel.theta = rng.uniform(bounds[:-1, 0], bounds[:-1, 1])
 
 
-@pytest.mark.parametrize("make_kernel", [lambda: RBF(3), lambda: nargp_kernel(2)])
-def test_traces_belong_to_the_theta_of_their_pass(make_kernel):
-    """A theta write after a value_and_traces pass leaves its traces as
-    they were: they contract the factors of that pass."""
-    kernel = make_kernel()
-    rng = np.random.default_rng(22)
-    x = rng.random((9, 3))
-    w = rng.standard_normal((9, 9))
-    inner = 0.5 * (w + w.T)
-    k, traces = kernel.value_and_traces(x)
-    expected = oracle_gradient_traces(kernel, x, inner, k=kernel(x))
-    kernel.theta = kernel.theta + 0.5
-    assert traces(inner).tobytes() == expected.tobytes()
-    assert k.tobytes() != kernel(x).tobytes()
+@pytest.mark.parametrize("kernel_name", ["rbf", "eq9"])
+def test_stacked_likelihood_matches_reference(kernel_name):
+    """The stacked likelihood equals the reference to ``10 kappa eps``
+    relative, value and gradient alike, member by member in one stack
+    of every probe, where ``kappa`` is the condition number of the
+    probe's covariance and ``eps`` machine epsilon.
+
+    The two compute the same quantities from the same inputs and differ
+    only in how the float operations are grouped: per-member mat-vecs
+    for K, numpy's Cholesky, ``dtrtri`` for L^-1 and ``||L^-1 y||^2``
+    for ``y^T K^-1 y``. Backward-stable rearrangements of a solve with
+    K agree to about ``kappa eps`` relative, so that is the bound; the
+    probes' differences stay within 2 ``kappa eps``. At the near-singular
+    probe (kappa ~ 1e19) the gradient has no correct digits in either,
+    and only the value is pinned by the bound.
+    """
+    model, probes = _likelihood_probes(kernel_name)
+    reference = copy.deepcopy(model)
+    values, grads = Likelihood([model])(
+        np.array(probes), np.zeros(len(probes), int)
+    )
+    eps = np.finfo(float).eps
+    for theta, value, grad in zip(probes, values, grads):
+        expected_value, expected_grad = reference_nlml_and_grad(reference, theta)
+        n = reference.n_train
+        k = reference.kernel(reference.x_train) + reference.noise_variance * np.eye(n)
+        bound = 10.0 * np.linalg.cond(k) * eps
+        assert abs(value - expected_value) <= bound * max(1.0, abs(expected_value))
+        scale = max(1.0, float(np.abs(expected_grad).max()))
+        assert float(np.abs(grad - expected_grad).max()) <= bound * scale
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +618,27 @@ def test_gpr_add_points_matches_full_refit():
 # ---------------------------------------------------------------------------
 # L-BFGS-B searches through repro.optim.lbfgsb, against scipy's minimize
 # ---------------------------------------------------------------------------
-def oracle_optimize_hyperparameters(model, n_restarts, rng):
-    """The previous ``GPR._optimize_hyperparameters``: one scipy
-    ``minimize`` per restart. Returns ``(nlml, theta, success)``."""
+def oracle_optimize_hyperparameters(model, n_restarts, rng, logs):
+    """The sequential fit: one scipy ``minimize`` per restart over the
+    stacked likelihood at r = 1, logging start ``s``'s thetas in
+    ``logs[s]``. Returns the chosen start's ``(nlml, theta, success)``."""
+    likelihood = Likelihood([model])
     bounds = model._full_bounds()
     starts = [model._full_theta()]
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     for _ in range(max(0, n_restarts)):
         starts.append(rng.uniform(lo, hi))
-    best_value, best_theta, any_success = np.inf, starts[0], False
-    for start in starts:
+    best_value, best_theta, best_success = np.inf, starts[0], False
+    for start, log in zip(starts, logs):
+
+        def fun(theta, log=log):
+            log.append(theta.tobytes())
+            values, grads = likelihood(theta[None], np.zeros(1, int))
+            return float(values[0]), grads[0]
+
         result = minimize(
-            model._nlml_and_grad,
+            fun,
             np.clip(start, lo, hi),
             jac=True,
             method="L-BFGS-B",
@@ -536,13 +648,34 @@ def oracle_optimize_hyperparameters(model, n_restarts, rng):
         if np.isfinite(result.fun) and result.fun < best_value:
             best_value = float(result.fun)
             best_theta = result.x.copy()
-            any_success = any_success or bool(result.success)
-    return best_value, best_theta, any_success
+            best_success = bool(result.success)
+    return best_value, best_theta, best_success
+
+
+def oracle_polish_objective(acquisition, dim, eval_counter):
+    """The previous one-start MSP polish objective, verbatim: negated
+    acquisition with a (d + 1)-point forward-difference stencil."""
+    step = float(np.sqrt(np.finfo(float).eps))
+
+    def negative_and_grad(x_flat):
+        x0 = np.asarray(x_flat, dtype=float).ravel()
+        steps = np.where(x0 + step <= 1.0, step, -step)
+        batch = np.vstack([x0[None, :], x0[None, :] + np.diag(steps)])
+        eval_counter[0] += batch.shape[0]
+        values = np.asarray(acquisition(batch), dtype=float).ravel()
+        f0 = values[0]
+        if not np.isfinite(f0):
+            return 1e25, np.zeros(dim)
+        grad = (values[1:] - f0) / steps
+        grad[~np.isfinite(grad)] = 0.0
+        return -float(f0), -grad
+
+    return negative_and_grad
 
 
 def oracle_msp_maximize(optimizer, acquisition, incumbent_low, incumbent_high):
-    """The previous ``MSPOptimizer.maximize``: one scipy ``minimize`` per
-    polish start. Returns ``(x, value, n_evaluations)``."""
+    """The sequential ``MSPOptimizer.maximize``: one scipy ``minimize``
+    per polish start. Returns ``(x, value, n_evaluations)``."""
     starts = optimizer.scatter(incumbent_low, incumbent_high)
     values = np.asarray(acquisition(starts), dtype=float).ravel()
     values = np.where(np.isfinite(values), values, -np.inf)
@@ -550,7 +683,7 @@ def oracle_msp_maximize(optimizer, acquisition, incumbent_low, incumbent_high):
     order = np.argsort(values)[::-1]
     best_x = starts[order[0]].copy()
     best_value = float(values[order[0]])
-    negative = optimizer._make_polish_objective(acquisition, eval_counter)
+    negative = oracle_polish_objective(acquisition, optimizer.dim, eval_counter)
     bounds = [(0.0, 1.0)] * optimizer.dim
     for idx in order[: optimizer.n_polish]:
         result = minimize(
@@ -599,13 +732,32 @@ def _recorded(fun, log):
     return wrapped
 
 
+def _recording_lbfgsb(monkeypatch, module):
+    """Route ``module``'s lockstep searches through a wrapper that logs
+    each search's evaluated points; returns the per-search logs."""
+    logs = defaultdict(list)
+    real = lbfgsb_module.lbfgsb
+
+    def recording(fun, *args):
+        def wrapped(x, rows):
+            for point, row in zip(x, rows):
+                logs[int(row)].append(point.tobytes())
+            return fun(x, rows)
+
+        return real(wrapped, *args)
+
+    monkeypatch.setattr(module, "lbfgsb", recording)
+    return logs
+
+
 @pytest.mark.parametrize("n_restarts", [1, 3])
 @pytest.mark.parametrize("kernel_name", ["rbf", "eq9"])
 def test_gpr_fit_matches_minimize_oracle_bitwise(
-    opamp_shape, kernel_name, n_restarts
+    opamp_shape, kernel_name, n_restarts, monkeypatch
 ):
     """Each restart evaluates eq. 3 at the same thetas in the same order
-    as the minimize loop, so the fit keeps the same bits."""
+    as its own minimize run over the stacked likelihood at r = 1, so the
+    lockstep fit keeps the same bits and reports the chosen start."""
     x_low, _, low_models, fused_models, _ = opamp_shape
     high = fused_models[1].high_model
     if kernel_name == "rbf":
@@ -617,16 +769,15 @@ def test_gpr_fit_matches_minimize_oracle_bitwise(
         kernel = None if kernel_name == "rbf" else nargp_kernel(5)
         return GPR(kernel=kernel, max_opt_iter=40).fit(x, y, optimize=False)
 
-    oracle_log, log = [], []
-    oracle = fresh()
-    oracle._nlml_and_grad = _recorded(oracle._nlml_and_grad, oracle_log)
+    oracle_logs = [[] for _ in range(n_restarts + 1)]
     nlml, theta, success = oracle_optimize_hyperparameters(
-        oracle, n_restarts, np.random.default_rng(5)
+        fresh(), n_restarts, np.random.default_rng(5), oracle_logs
     )
+    logs = _recording_lbfgsb(monkeypatch, gpr_module)
     model = fresh()
-    model._nlml_and_grad = _recorded(model._nlml_and_grad, log)
     model.fit(x, y, n_restarts=n_restarts, rng=np.random.default_rng(5))
-    assert log == oracle_log and len(log) > n_restarts + 1
+    assert [logs[s] for s in range(n_restarts + 1)] == oracle_logs
+    assert all(len(log) > 1 for log in oracle_logs)
     assert model.train_result.nlml == nlml
     assert model.train_result.theta.tobytes() == theta.tobytes()
     assert model.train_result.success == success
@@ -635,8 +786,9 @@ def test_gpr_fit_matches_minimize_oracle_bitwise(
 
 @pytest.mark.parametrize("fidelity", ["low", "fused"])
 def test_msp_maximize_matches_minimize_oracle_bitwise(opamp_shape, fidelity):
-    """Both polish starts query wEI (eq. 6) at the same stencils in the
-    same order as the minimize loop: same point, value and count."""
+    """With one polish start, the polish queries wEI (eq. 6) at the same
+    stencils in the same order as the minimize loop: same point, value
+    and count."""
     x_low, x_high, low_models, fused_models, z = opamp_shape
     if fidelity == "low":
         predictors = [m.predict for m in low_models]
@@ -647,7 +799,7 @@ def test_msp_maximize_matches_minimize_oracle_bitwise(opamp_shape, fidelity):
 
     def optimizer():
         return MSPOptimizer(
-            dim=5, n_starts=60, n_polish=2, rng=np.random.default_rng(9)
+            dim=5, n_starts=60, n_polish=1, rng=np.random.default_rng(9)
         )
 
     oracle_log, log = [], []
@@ -655,7 +807,31 @@ def test_msp_maximize_matches_minimize_oracle_bitwise(opamp_shape, fidelity):
         optimizer(), _recorded(acquisition, oracle_log), *incumbents
     )
     result = optimizer().maximize(_recorded(acquisition, log), *incumbents)
-    assert log == oracle_log and len(log) > 10
+    # the scatter, then at least five polish steps
+    assert log == oracle_log and len(log) > 6
+    assert result.x.tobytes() == oracle[0].tobytes()
+    assert result.value == oracle[1]
+    assert result.n_evaluations == oracle[2]
+
+
+def test_msp_lockstep_polish_matches_sequential_polish_bitwise():
+    """On an acquisition whose rows do not depend on each other, the
+    lockstep polish of three starts ends where three sequential minimize
+    polishes do: same point, value and evaluation count."""
+    centers = np.array([[0.3, 0.7, 0.2], [0.8, 0.1, 0.5]])
+
+    def acquisition(x):
+        x = np.atleast_2d(x)
+        bumps = [np.exp(-8.0 * ((x - c) ** 2).sum(axis=1)) for c in centers]
+        return bumps[0] + 0.8 * bumps[1] + 0.05 * np.sin(7.0 * x).sum(axis=1)
+
+    def optimizer():
+        return MSPOptimizer(
+            dim=3, n_starts=40, n_polish=3, rng=np.random.default_rng(17)
+        )
+
+    oracle = oracle_msp_maximize(optimizer(), acquisition, None, None)
+    result = optimizer().maximize(acquisition)
     assert result.x.tobytes() == oracle[0].tobytes()
     assert result.value == oracle[1]
     assert result.n_evaluations == oracle[2]

@@ -159,24 +159,24 @@ PINNED_IDENTITY = {
 }
 
 PINNED = {
-    "ehvi-3obj": "f602d4f672fbd824223532296b4dec3e",
-    "ehvi-3obj-batch2": "87773f741944d2777f381a6fe9c98d20",
-    "ehvi-zdt1": "cd7ca36bc60167c22b9f0f392879f3d1",
-    "ehvi-zdt1-batch2": "5e30d1440433628c23344577614b1a02",
-    "ehvi-zdt1-constrained": "991ade465b6d7f54141c018999cd357e",
-    "ehvi-zdt1-fifo2": "d2415509089250a6ad52178ef0818956",
-    "mfbo-forrester": "64315578481f46047724d322599755c8",
-    "mfbo-gardner": "ff2ad9ef1fa47dcd7336235594ae0ea6",
-    "mfbo-gardner-batch3": "f1ef8ceaf7c8b1db05bfc8d7eb559fab",
-    "mfbo-gardner-fifo2": "d86f6b226cc64576a2c6a91587a9047f",
-    "mfbo-gardner-fifo3": "71985a0b43a80bb478e8226fd5aaa4e8",
-    "parego-zdt1": "9f88661a1e9db704afb7a89cb532fed1",
-    "parego-zdt1-batch2": "79a5fbc38e4b9f1eadcd47b87e207345",
-    "parego-zdt1-constrained": "3800fb4a675c840cd639f167b0aa48f2",
-    "parego-zdt1-fifo2": "9b167c67aa3c95e8318a882e8d9ad310",
-    "weibo-forrester": "446c18891706148536b689f3f87cd3fc",
-    "weibo-gardner": "667ce8161bb40a2d61ad91909cbf2c91",
-    "weibo-gardner-batch3": "8aa232fdb78e8df19458fff984eeec36",
+    "ehvi-3obj": "d8d5d61c6151a6eaeb8ea3ecd2432eba",
+    "ehvi-3obj-batch2": "ebf4b5802ef413afd0d25ef0ad6e9f5a",
+    "ehvi-zdt1": "968864b5d549811d6a2bdd883bbfe38b",
+    "ehvi-zdt1-batch2": "3611e6c3678f948c7af34a5a5f42ab8e",
+    "ehvi-zdt1-constrained": "0c8d41e11e0756b64e9a06044ac895f3",
+    "ehvi-zdt1-fifo2": "ed53dcd9c70e9d258788edcb4e9f614e",
+    "mfbo-forrester": "6a155d87393baed70d32be7f4c62fa3e",
+    "mfbo-gardner": "4cd69d99214cfd23aafe95dee0b68d00",
+    "mfbo-gardner-batch3": "3449ecb39b63d44a89108a7484541493",
+    "mfbo-gardner-fifo2": "aee13ed393121a2ccf5092c922490dc3",
+    "mfbo-gardner-fifo3": "5f638b99190395717116be5c22fec701",
+    "parego-zdt1": "6088f00d833be94daf7b5f455b0a232b",
+    "parego-zdt1-batch2": "2e93ba934f4866c0cbf441a4b9c920ec",
+    "parego-zdt1-constrained": "651a7bce808d6b5bf9802a985c797259",
+    "parego-zdt1-fifo2": "2b963e2bb790f570b876c3c8c6fb1b7d",
+    "weibo-forrester": "3408ee268f2b86d4035dae3f1545545f",
+    "weibo-gardner": "4a66b21f00a7748e009c744a7bd792ae",
+    "weibo-gardner-batch3": "cc27dec12df27617cdcd90fa22a27498",
 }
 
 
