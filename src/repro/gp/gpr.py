@@ -464,7 +464,7 @@ class Likelihood:
         noise = np.exp(theta[:, -1])
         a = k.reshape(r, n, n).copy()
         a.reshape(r, n * n)[:, :: n + 1] += noise[:, None]
-        lower, ok = cholesky_stack(a)
+        lower = cholesky_stack(a)
         y = self._y[owners][:, :, None]
         with np.errstate(over="ignore", invalid="ignore"):
             lower_inv = invert_lower_stack(lower)
@@ -486,7 +486,8 @@ class Likelihood:
             grad[:, :-1] = 0.5 * traces(inner.reshape(r, n * n))
             # noise term: dK/d log(sigma_n^2) = sigma_n^2 * I
             grad[:, -1] = 0.5 * noise * np.trace(inner, axis1=1, axis2=2)
-        failed = ~(ok & np.isfinite(nlml))
+        # A factor that failed, or is not finite, gives a non-finite NLML.
+        failed = ~np.isfinite(nlml)
         if failed.any():
             nlml[failed] = PENALTY
             grad[failed] = 0.0

@@ -112,7 +112,7 @@ def jitter_cholesky(a: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def cholesky_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cholesky_stack(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of an ``(r, n, n)`` stack, one jitter ladder
     per member.
 
@@ -123,27 +123,15 @@ def cholesky_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the stacked call's arithmetic, so a member's factor never depends on
     which other members share the stack.
 
-    Returns
-    -------
-    (L, ok):
-        The ``(r, n, n)`` factors and an ``(r,)`` mask. ``ok`` is False
-        for a member that fails every rung or whose factor has a
-        non-finite diagonal; its factor is then the identity, so that
-        arithmetic downstream stays finite.
+    A member that fails every rung gets a NaN factor, and so does a
+    non-finite member (OpenBLAS ``dpotrf`` reports success on NaN
+    input): callers test what they compute from a factor for
+    finiteness.
     """
     try:
-        lower = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        lower = np.empty_like(a)
-        for i, member in enumerate(a):
-            lower[i] = _ladder_cholesky(member)
-    # Each diagonal entry is a square root, so a member's trace is
-    # finite iff its whole diagonal is (OpenBLAS dpotrf reports success
-    # on NaN input, and NaN fails this test).
-    ok = np.isfinite(np.trace(lower, axis1=1, axis2=2))
-    if not ok.all():
-        lower[~ok] = np.eye(a.shape[1])
-    return lower, ok
+        return np.array([_ladder_cholesky(member) for member in a])
 
 
 def _ladder_cholesky(a: np.ndarray) -> np.ndarray:
@@ -164,7 +152,7 @@ def _ladder_cholesky(a: np.ndarray) -> np.ndarray:
 
 def invert_lower_stack(lower: np.ndarray) -> np.ndarray:
     """``L^-1`` of each member of an ``(r, n, n)`` stack of nonsingular
-    lower-triangular factors.
+    lower-triangular factors (a NaN factor gives a NaN inverse).
 
     One LAPACK ``dtrtri`` call per member: at GP sizes it costs about a
     fifth of what ``np.linalg.inv`` (an LU solve per member) does on the

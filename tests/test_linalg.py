@@ -14,6 +14,8 @@ from repro.gp.linalg import (
     CholeskyError,
     cho_solve,
     chol_append,
+    cholesky_stack,
+    invert_lower_stack,
     jitter_cholesky,
     log_det_from_chol,
     solve_lower,
@@ -259,3 +261,32 @@ def test_solve_lower_transposes_c_ordered_factor():
 def test_solve_lower_rejects_singular_factor():
     with pytest.raises(np.linalg.LinAlgError):
         solve_lower(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2))
+
+
+class TestCholeskyStack:
+    """The likelihood's stacked factorization: one ladder per member."""
+
+    def test_members_factor_on_their_own_ladders(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6))
+        spd = a @ a.T + 6.0 * np.eye(6)
+        ones = np.ones((6, 6))  # rank one: needs a jitter rung
+        stack = np.stack([spd, ones, -np.eye(6), spd])
+        lower = cholesky_stack(stack)
+        for i in (0, 3):
+            assert lower[i].tobytes() == np.linalg.cholesky(spd).tobytes()
+        ladder, jitter = jitter_cholesky(ones)
+        assert jitter > 0.0
+        np.testing.assert_allclose(lower[1], ladder, rtol=1e-12)
+        assert np.isnan(lower[2]).all()  # no rung factors -I
+
+    def test_inverse_of_each_member(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((2, 5, 5))
+        lower = np.linalg.cholesky(a @ a.transpose(0, 2, 1) + 5.0 * np.eye(5))
+        inverse = invert_lower_stack(lower)
+        for member, member_inverse in zip(lower, inverse):
+            np.testing.assert_allclose(
+                member_inverse @ member, np.eye(5), atol=1e-12
+            )
+            assert np.allclose(np.triu(member_inverse, 1), 0.0)
