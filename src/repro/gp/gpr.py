@@ -448,7 +448,7 @@ class Likelihood:
         self._sq_diffs = [
             tensors[0][None]
             if all(np.array_equal(t, tensors[0]) for t in tensors[1:])
-            else np.stack(tensors)
+            else _stack_like(tensors)
             for tensors in zip(*per_model)
         ]
 
@@ -492,6 +492,15 @@ class Likelihood:
             nlml[failed] = PENALTY
             grad[failed] = 0.0
         return nlml, grad
+
+
+def _stack_like(tensors: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack same-shape 2-D arrays so that every member keeps the first
+    one's memory layout (C- or Fortran-ordered): a member's products then
+    get the bits they get unstacked."""
+    if tensors[0].flags.c_contiguous:
+        return np.stack(tensors)
+    return np.stack([t.T for t in tensors]).transpose(0, 2, 1)
 
 
 def fit_hyperparameters(

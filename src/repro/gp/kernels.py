@@ -64,17 +64,12 @@ class Kernel:
         ``theta`` order: the theta-independent input of
         :meth:`stack_value_and_traces`.
 
-        Each is C-ordered whatever the layout ``RBF._sq_diffs`` returns
-        (an ``active_dims`` slice is Fortran-ordered): a mat-vec's last
-        bits follow the layout of its operand, so a leaf's products must
-        not depend on whether a stack shares one tensor or holds one per
-        member.
+        Each is ``RBF._sq_diffs`` reshaped, in the layout it returns: a
+        mat-vec's last bits follow the layout of its operand, and an
+        ``active_dims`` slice (eq. 9's x-part) is Fortran-ordered.
         """
         n = _as_2d(x).shape[0]
-        return [
-            np.ascontiguousarray(leaf._sq_diffs(x).reshape(n * n, -1))
-            for leaf in self._leaves()
-        ]
+        return [leaf._sq_diffs(x).reshape(n * n, -1) for leaf in self._leaves()]
 
     def stack_value_and_traces(
         self, theta: np.ndarray, sq_diffs: list[np.ndarray]

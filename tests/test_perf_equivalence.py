@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 from repro.acquisition import WeightedEI
 from repro.core import MFBOptimizer
 from repro.gp import GPR
-from repro.gp.gpr import Likelihood
+from repro.gp.gpr import Likelihood, _stack_like
 from repro.gp.kernels import RBF, Product, Sum, nargp_kernel
 from repro.gp.linalg import (
     JITTER_LADDER,
@@ -93,8 +93,7 @@ def test_stacked_pass_is_member_stable(make_kernel):
     inner = np.stack([_symmetric(rng, 11).ravel() for _ in range(5)])
     k, traces = _stack_pass(kernel, x, thetas)
     together = k.copy(), traces(inner)
-    per_member = [np.repeat(sq[None], 5, axis=0)
-                  for sq in kernel.sq_diffs_by_leaf(x)]
+    per_member = [_stack_like([sq] * 5) for sq in kernel.sq_diffs_by_leaf(x)]
     k_own, traces_own = kernel.stack_value_and_traces(thetas, per_member)
     assert k_own.tobytes() == together[0].tobytes()
     assert traces_own(inner).tobytes() == together[1].tobytes()

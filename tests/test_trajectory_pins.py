@@ -159,21 +159,21 @@ PINNED_IDENTITY = {
 }
 
 PINNED = {
-    "ehvi-3obj": "d8d5d61c6151a6eaeb8ea3ecd2432eba",
-    "ehvi-3obj-batch2": "ebf4b5802ef413afd0d25ef0ad6e9f5a",
-    "ehvi-zdt1": "968864b5d549811d6a2bdd883bbfe38b",
-    "ehvi-zdt1-batch2": "3611e6c3678f948c7af34a5a5f42ab8e",
-    "ehvi-zdt1-constrained": "0c8d41e11e0756b64e9a06044ac895f3",
-    "ehvi-zdt1-fifo2": "ed53dcd9c70e9d258788edcb4e9f614e",
+    "ehvi-3obj": "1e7c3de316a3e3bdec4f0535d66ea77d",
+    "ehvi-3obj-batch2": "5b888ad6c469915fdfe6cc64b9b4a101",
+    "ehvi-zdt1": "b0fe5d25cf7ea1e8d7c81124a5cb2e59",
+    "ehvi-zdt1-batch2": "76abbdc4ac1d9f43e5e30faafe41a43e",
+    "ehvi-zdt1-constrained": "1e61fc0083a1731dd0e29b4da5307bf3",
+    "ehvi-zdt1-fifo2": "099c9d69304cc05fd3d57396410b73a0",
     "mfbo-forrester": "6a155d87393baed70d32be7f4c62fa3e",
-    "mfbo-gardner": "4cd69d99214cfd23aafe95dee0b68d00",
-    "mfbo-gardner-batch3": "3449ecb39b63d44a89108a7484541493",
-    "mfbo-gardner-fifo2": "aee13ed393121a2ccf5092c922490dc3",
-    "mfbo-gardner-fifo3": "5f638b99190395717116be5c22fec701",
-    "parego-zdt1": "6088f00d833be94daf7b5f455b0a232b",
-    "parego-zdt1-batch2": "2e93ba934f4866c0cbf441a4b9c920ec",
-    "parego-zdt1-constrained": "651a7bce808d6b5bf9802a985c797259",
-    "parego-zdt1-fifo2": "2b963e2bb790f570b876c3c8c6fb1b7d",
+    "mfbo-gardner": "6261969b55e4a4741f1c13166ecf5802",
+    "mfbo-gardner-batch3": "fdcd97a03dc81bd2a0ed11d91371422d",
+    "mfbo-gardner-fifo2": "b0d190ddb367d3ea41675fafee073980",
+    "mfbo-gardner-fifo3": "d7740ee41db44d2edd55e7b47e28e8e6",
+    "parego-zdt1": "1245217edfbf55b4f48f5c31ba44d855",
+    "parego-zdt1-batch2": "807ec721daff1028af8a8bb0bddc1d07",
+    "parego-zdt1-constrained": "eaec2aed57a6e45bcdb89039edea1ae7",
+    "parego-zdt1-fifo2": "c5b169ac5dd405b06eb7ed3fef2f6a95",
     "weibo-forrester": "3408ee268f2b86d4035dae3f1545545f",
     "weibo-gardner": "4a66b21f00a7748e009c744a7bd792ae",
     "weibo-gardner-batch3": "cc27dec12df27617cdcd90fa22a27498",
