@@ -91,12 +91,13 @@ def fit_pairs(
     # The eq. 9 GPs do not exist until the low GPs are trained, but
     # their starts depend only on the kernel's box and defaults.
     high_template = GPR(kernel=nargp_kernel(x_low.shape[1]))
-    low_starts, high_starts = [], []
+    low_starts: list[np.ndarray] = []
+    high_starts: list[np.ndarray] = []
     for low_gp in low_models:
         low_starts.append(low_gp.hyperparameter_starts(n_restarts, rng))
         high_starts.append(high_template.hyperparameter_starts(n_restarts, rng))
     fit_hyperparameters(low_models, low_starts)
-    fused_models = []
+    fused_models: list[NARGP] = []
     for low_gp, t_low, t_high in zip(low_models, targets_low, targets_high):
         fused = NARGP(n_restarts=n_restarts, max_opt_iter=max_opt_iter)
         fused.fit(

@@ -32,6 +32,7 @@ from .linalg import (
     cholesky_stack,
     invert_lower_stack,
     jitter_cholesky,
+    log_det_from_chol,
     solve_lower,
 )
 
@@ -472,9 +473,7 @@ class Likelihood:
             u = np.matmul(lower_inv, y)  # L^-1 y
             alpha = np.matmul(lower_inv_t, u)  # K^-1 y
             nlml = 0.5 * (
-                (u * u).sum(axis=(1, 2))
-                + 2.0 * np.log(np.diagonal(lower, axis1=1, axis2=2)).sum(axis=1)
-                + n * _LOG_2PI
+                (u * u).sum(axis=(1, 2)) + log_det_from_chol(lower) + n * _LOG_2PI
             )
             # dNLML/dtheta_j = 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta_j)
             # (Rasmussen & Williams 2006, eq. 5.9), with K^-1 = L^-T L^-1
@@ -549,7 +548,8 @@ def fit_hyperparameters(
         thetas, values, converged = lbfgsb(
             objective, np.concatenate(starts), lower, upper, first.max_opt_iter
         )
-        results, begin = [], 0
+        results: list[TrainResult] = []
+        begin = 0
         for model, model_starts in zip(models, starts):
             end = begin + len(model_starts)
             best_value, best = np.inf, begin

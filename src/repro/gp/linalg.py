@@ -191,9 +191,10 @@ def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def log_det_from_chol(lower: np.ndarray) -> float:
-    """Log-determinant of ``A`` from its lower Cholesky factor."""
-    return 2.0 * float(np.log(lower.diagonal()).sum())
+def log_det_from_chol(lower: np.ndarray) -> np.ndarray:
+    """Log-determinant of ``A`` from its lower Cholesky factor, or of each
+    member of an ``(r, n, n)`` stack from its factors."""
+    return 2.0 * np.log(np.diagonal(lower, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def chol_append(

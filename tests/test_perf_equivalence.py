@@ -23,6 +23,7 @@ from scipy.optimize import minimize
 from repro.acquisition import WeightedEI
 from repro.core import MFBOptimizer
 from repro.gp import GPR
+from repro.gp import gpr as gpr_module
 from repro.gp.gpr import Likelihood, _stack_like
 from repro.gp.kernels import RBF, Product, Sum, nargp_kernel
 from repro.gp.linalg import (
@@ -35,7 +36,6 @@ from repro.gp.linalg import (
     solve_lower,
 )
 from repro.mf import NARGP
-from repro.gp import gpr as gpr_module
 from repro.optim import lbfgsb as lbfgsb_module
 from repro.optim.msp import MSPOptimizer
 from repro.problems import ForresterProblem, pedagogical_high, pedagogical_low
