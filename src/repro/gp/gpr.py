@@ -557,13 +557,14 @@ def fit_hyperparameters(
                 if np.isfinite(values[i]) and values[i] < best_value:
                     best_value, best = float(values[i]), i
             model._set_full_theta(thetas[best])
-            model.train_result = TrainResult(
+            result = TrainResult(
                 nlml=best_value,
                 theta=thetas[best],
                 n_restarts=len(model_starts) - 1,
                 success=bool(np.isfinite(best_value) and converged[best]),
             )
-            results.append(model.train_result)
+            model.train_result = result
+            results.append(result)
             begin = end
         if is_enabled():
             chosen = np.array([result.theta for result in results])
