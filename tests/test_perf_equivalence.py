@@ -67,19 +67,36 @@ def _symmetric(rng, n):
 
 
 @KERNELS
-def test_stacked_kernel_matches_kernel_call(make_kernel):
-    """Each member's K equals ``kernel(x)`` at its theta (the SE formula
-    evaluated per member instead of on the (n, n, d) tensor)."""
+def test_workspace_matches_fresh_evaluation(make_kernel):
+    """K(x, x) and its gradient traces from the squared-difference
+    workspace (``sq_diffs_by_leaf``, which a likelihood builds once per
+    fit and reuses at every theta) are identical to a pass over freshly
+    built squared differences, including after theta updates and after
+    earlier passes; and each member's K equals ``kernel(x)`` at its
+    theta (the SE formula evaluated per member instead of on the
+    (n, n, d) tensor)."""
     kernel = make_kernel()
     rng = np.random.default_rng(0)
     x = rng.random((15, 4))
-    thetas = kernel.theta + rng.normal(scale=0.3, size=(4, kernel.n_params))
-    k, _ = _stack_pass(kernel, x, thetas)
-    for theta, k_member in zip(thetas, k):
-        kernel.theta = theta
-        np.testing.assert_allclose(
-            k_member.reshape(15, 15), kernel(x), rtol=1e-13, atol=1e-300
-        )
+    inner = np.stack([_symmetric(rng, 15).ravel() for _ in range(4)])
+    workspace = [sq[None] for sq in kernel.sq_diffs_by_leaf(x)]
+
+    def assert_same(thetas):
+        k_ws, traces_ws = kernel.stack_value_and_traces(thetas, workspace)
+        k, traces = _stack_pass(kernel, x, thetas)
+        assert k_ws.tobytes() == k.tobytes()
+        assert traces_ws(inner).tobytes() == traces(inner).tobytes()
+        for theta, k_member in zip(thetas, k):
+            kernel.theta = theta
+            np.testing.assert_allclose(
+                k_member.reshape(15, 15), kernel(x), rtol=1e-13, atol=1e-300
+            )
+
+    assert_same(kernel.theta + rng.normal(scale=0.3, size=(4, kernel.n_params)))
+    # The workspace is theta-independent: new thetas, and a new theta in
+    # the kernel itself, must still reproduce the fresh evaluation.
+    kernel.theta = kernel.theta + rng.normal(scale=0.3, size=kernel.n_params)
+    assert_same(kernel.theta + rng.normal(scale=0.3, size=(4, kernel.n_params)))
 
 
 @KERNELS
@@ -125,9 +142,70 @@ def test_gradient_traces_match_gradient_stack(make_kernel, dense_gradients):
     )
 
 
+def test_workspace_guarded_by_input_identity():
+    """A likelihood shares a leaf's squared-difference workspace only
+    between models whose inputs to that leaf are equal: a model on a
+    different array of the same shape gets its own tensors, and each
+    member keeps the bits of its model's own likelihood. Eq. 9's GPs
+    share the x-part (``k2``, ``k3``) and keep ``k1``'s per model."""
+    rng = np.random.default_rng(15)
+    x = rng.random((8, 2))
+    other = rng.random((8, 2))
+    y = rng.standard_normal(8)
+    f_low = [np.sin(3.0 * x[:, 0]), np.cos(2.0 * x[:, 1])]
+
+    def model(x_train, kernel=None):
+        return GPR(kernel=kernel).fit(x_train, y, optimize=False)
+
+    cases = [
+        ([model(x), model(x.copy())], [1]),
+        ([model(x), model(other)], [2]),
+        (
+            [model(np.column_stack([x, f]), nargp_kernel(2)) for f in f_low],
+            [2, 1, 1],
+        ),
+    ]
+    for models, stack_sizes in cases:
+        likelihood = Likelihood(models)
+        assert [sq.shape[0] for sq in likelihood._sq_diffs] == stack_sizes
+        theta = models[0]._full_theta() + 0.1
+        values, grads = likelihood(np.stack([theta, theta]), np.array([0, 1]))
+        for i, member in enumerate(models):
+            alone = Likelihood([member])(theta[None], np.zeros(1, int))
+            assert values[i] == alone[0][0]
+            assert grads[i].tobytes() == alone[1][0].tobytes()
+        if stack_sizes != [1]:
+            assert values[0] != values[1]
+
+
+def test_workspace_ignored_for_cross_covariances():
+    """A fit builds the training set's squared-difference workspace and
+    evaluates eq. 3 on it at every theta; none of it may leak into
+    K(x*, x). After the fit, the model's cross covariances and
+    predictions are those of a fresh kernel at the fitted theta, at test
+    points of the training set's own shape."""
+    rng = np.random.default_rng(1)
+    x = rng.random((10, 2))
+    y = np.sin(3.0 * x).sum(axis=1)
+    x_star = rng.random((10, 2))
+    model = GPR(kernel=RBF(2, lengthscales=[0.4, 0.9]), max_opt_iter=20)
+    model.fit(x, y, n_restarts=1, rng=rng)
+    fresh_kernel = RBF(2)
+    fresh_kernel.theta = model.kernel.theta
+    k_star = fresh_kernel(x_star, x)
+    assert model.kernel(x_star, x).tobytes() == k_star.tobytes()
+    assert not np.array_equal(k_star, fresh_kernel(x))
+    fresh = GPR(kernel=fresh_kernel)
+    fresh._set_full_theta(model._full_theta())
+    fresh.fit(x, y, optimize=False)
+    assert _bits(*model.predict(x_star)) == _bits(*fresh.predict(x_star))
+
+
 @pytest.mark.parametrize("make_kernel", [lambda: RBF(3), lambda: nargp_kernel(2)])
-def test_stacked_pass_is_a_pure_function_of_theta(make_kernel):
-    """The pass reads the theta it is given, never the kernel's own."""
+def test_traces_belong_to_the_theta_of_their_pass(make_kernel):
+    """A theta write after a stacked pass leaves its traces as they were:
+    they contract the factors of that pass. The pass reads the theta it
+    is given, never the kernel's own."""
     kernel = make_kernel()
     rng = np.random.default_rng(22)
     x = rng.random((9, 3))
@@ -358,16 +436,23 @@ def _likelihood_probes(kernel_name):
 
 
 @pytest.mark.parametrize("kernel_name", ["rbf", "eq9"])
-def test_reference_likelihood_matches_its_oracle_bitwise(kernel_name):
-    """The moved reference is still the likelihood its own oracle pins:
-    value and gradient bytes are equal at every probe."""
+def test_nlml_and_grad_matches_oracle_bitwise(kernel_name):
+    """The likelihood reference (the single-model ``_nlml_and_grad``,
+    moved here) has the oracle's value and gradient bytes at several
+    theta, including a near-singular K that climbs the jitter ladder.
+    Every call writes a new theta, and the kernel's own theta is also
+    written between calls, so factors cached across a theta write would
+    fail."""
     model, probes = _likelihood_probes(kernel_name)
     oracle = copy.deepcopy(model)
+    rng = np.random.default_rng(23)
+    bounds = np.array(model._full_bounds())
     for theta in probes:
         value, grad = reference_nlml_and_grad(model, theta)
         expected_value, expected_grad = oracle_nlml_and_grad(oracle, theta)
         assert float(value) == float(expected_value)
         assert grad.tobytes() == expected_grad.tobytes()
+        model.kernel.theta = rng.uniform(bounds[:-1, 0], bounds[:-1, 1])
 
 
 @pytest.mark.parametrize("kernel_name", ["rbf", "eq9"])
