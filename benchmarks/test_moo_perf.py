@@ -4,8 +4,8 @@ Covered by the CI perf guard (``run_benchmarks.py --compare``): exact
 hypervolume at archive-scale front sizes (2-D sweep and 3-D WFG),
 archive maintenance, the closed-form 2-D EHVI over an MSP-sized
 candidate batch, the 3-D Monte-Carlo EHVI at the ``pareto-opamp``
-acquisition shape, and one full MOMFBO suggest/observe iteration on the
-synthetic ZDT1 testbench.
+acquisition shape and at the full-size tab5 low-stage shape, and one
+full MOMFBO suggest/observe iteration on the synthetic ZDT1 testbench.
 """
 
 import numpy as np
@@ -81,12 +81,11 @@ def test_ehvi_2d_closed_form_batch200(benchmark, front_2d):
     assert np.all(values >= 0)
 
 
-def test_ehvi_mc_3d_batch(benchmark):
-    """Monte-Carlo EHVI at the ``pareto-opamp`` acquisition shape: 61
-    candidates, 8 common-random-number draws, a 4-point 3-D front."""
-    rng = np.random.default_rng(4)
+def _linear_ehvi_3d(rng, n_front, n_draws):
+    """Monte-Carlo EHVI over three linear predictors with variance
+    0.02, against an ``n_front``-point front in ``[0, 0.9]^3``."""
     # Points on a plane of constant sum are mutually non-dominated.
-    front = 0.9 * rng.dirichlet(np.ones(3), size=4)
+    front = 0.9 * rng.dirichlet(np.ones(3), size=n_front)
 
     def linear(j):
         def predict(x):
@@ -94,13 +93,31 @@ def test_ehvi_mc_3d_batch(benchmark):
 
         return predict
 
-    acquisition = ExpectedHypervolumeImprovement(
+    return ExpectedHypervolumeImprovement(
         [linear(j) for j in range(3)], front, np.ones(3),
-        z=rng.standard_normal((8, 3)),
+        z=rng.standard_normal((n_draws, 3)),
     )
+
+
+def test_ehvi_mc_3d_batch(benchmark):
+    """Monte-Carlo EHVI at the ``pareto-opamp`` acquisition shape: 61
+    candidates, 8 common-random-number draws, a 4-point 3-D front."""
+    rng = np.random.default_rng(4)
+    acquisition = _linear_ehvi_3d(rng, n_front=4, n_draws=8)
     x = rng.uniform(0.0, 1.0, size=(61, 3))
     values = benchmark(acquisition, x)
     assert values.shape == (61,)
+    assert np.all(values >= 0) and np.any(values > 0)
+
+
+def test_ehvi_mc_3d_full_shape(benchmark):
+    """Monte-Carlo EHVI at the full-size tab5 low-stage shape: 201
+    candidates, 32 draws, a 15-point 3-D front (256 boxes)."""
+    rng = np.random.default_rng(5)
+    acquisition = _linear_ehvi_3d(rng, n_front=15, n_draws=32)
+    x = rng.uniform(0.0, 1.0, size=(201, 3))
+    values = benchmark(acquisition, x)
+    assert values.shape == (201,)
     assert np.all(values >= 0) and np.any(values > 0)
 
 

@@ -29,7 +29,13 @@ With an empty front this collapses to
 the expectation is taken by Monte Carlo with **common random numbers**:
 fixed standard-normal draws ``z`` are reused across every candidate so
 the acquisition surface is deterministic within one BO iteration, the
-same trick the fused NARGP posterior uses.
+same trick the fused NARGP posterior uses. The front is fixed for the
+whole acquisition search, so the region it does not dominate is cut
+into disjoint boxes once, when the acquisition is built
+(:func:`repro.moo.hypervolume.non_dominated_boxes`). A draw's
+hypervolume improvement is then the volume of its overlap with those
+boxes, and every (candidate, draw) pair of a call is scored in one
+numpy pass (:func:`repro.moo.hypervolume.mean_exclusive_hypervolume`).
 
 ParEGO
 ------
@@ -52,7 +58,7 @@ from ..acquisition.functions import (
     _norm_pdf,
     probability_of_feasibility,
 )
-from .hypervolume import mean_exclusive_hypervolume
+from .hypervolume import mean_exclusive_hypervolume, non_dominated_boxes
 from .pareto import non_dominated_mask
 
 __all__ = [
@@ -188,6 +194,7 @@ class ExpectedHypervolumeImprovement:
                 )
             if z.shape[0] == 0:
                 raise ValueError("z needs at least one Monte-Carlo draw")
+            self._boxes = non_dominated_boxes(front, self.ref_point)
         self.z = z
 
     def _posterior(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +226,7 @@ class ExpectedHypervolumeImprovement:
         """Common-random-number MC EHVI for three or more objectives."""
         assert self.z is not None  # required for 3+ objectives by __init__
         samples = mu[:, None, :] + sigma[:, None, :] * self.z[None, :, :]
-        return mean_exclusive_hypervolume(samples, self.front, self.ref_point)
+        return mean_exclusive_hypervolume(samples, *self._boxes, self.ref_point)
 
 
 def draw_simplex_weights(

@@ -1,12 +1,26 @@
 """Pareto archive, hypervolume and multi-objective acquisition tests.
 
-The hypervolume implementations (2-D sweep, WFG recursion) are pinned
-four ways: against each other on shared cases, against brute-force
-Monte-Carlo integration on random fronts, by hypothesis property tests
-(permutation invariance, monotonicity under insertion, agreement with
-the brute-force domination check), and bit for bit against the numpy
-WFG recursion kept below as the oracle of the scalar kernel.
+The reported volumes (2-D sweep, WFG recursion) are pinned four ways:
+against each other on shared cases, against brute-force Monte-Carlo
+integration on random fronts, by hypothesis property tests (permutation
+invariance, monotonicity under insertion, agreement with the
+brute-force domination check), and bit for bit against the numpy WFG
+recursion kept below as the oracle of the scalar kernel.
+
+The Monte-Carlo EHVI scores draws on the box decomposition of the
+region the front does not dominate. It is pinned bit for bit against
+the plain per-draw, per-box loop kept below (``reference_mean_gains``),
+within rounding against the numpy WFG oracle, and by hypothesis
+property tests of the boxes: disjoint, complementary to the front's
+hypervolume, exact up to the rounding of the dtype against rational
+arithmetic, independent of the order of the front's rows, and silent
+for draws outside the reference box.
 """
+
+import importlib
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +41,14 @@ from repro.moo import (
     non_dominated_mask,
     non_dominated_sort,
 )
+from repro.moo.hypervolume import (
+    mean_exclusive_hypervolume,
+    non_dominated_boxes,
+)
+
+# The package re-exports the function ``hypervolume`` under the
+# module's name.
+hv_module = importlib.import_module("repro.moo.hypervolume")
 
 
 def brute_force_mask(points):
@@ -142,6 +164,67 @@ def monte_carlo_hypervolume(points, ref, n_samples, rng):
     return float(box * np.mean(dominated))
 
 
+def reference_mean_gains(samples, lower, upper, ref):
+    """Plain per-draw, per-box loop in ``mean_exclusive_hypervolume``'s
+    summation order: each box's side widths multiplied left to right,
+    the boxes summed in order, then the draws in order. A draw gains 0
+    unless it is finite and strictly inside the reference box."""
+    ref = np.asarray(ref, dtype=float).ravel().tolist()
+    boxes = list(zip(lower.tolist(), upper.tolist()))
+    means = []
+    for draws in np.asarray(samples, dtype=float).tolist():
+        total = 0.0
+        for s in draws:
+            gain = 0.0
+            if all(math.isfinite(v) and v < r for v, r in zip(s, ref)):
+                for low, high in boxes:
+                    volume = 1.0
+                    for lj, uj, sj in zip(low, high, s):
+                        volume *= max(0.0, uj - max(lj, sj))
+                    gain += volume
+            total += gain
+        means.append(total / len(draws))
+    return np.array(means)
+
+
+def exact_gain(point, front, ref):
+    """Exclusive hypervolume of ``point`` against ``front`` in rational
+    arithmetic, independent of the box decomposition.
+
+    Every front coordinate inside ``[point, ref]`` cuts that box into a
+    grid; a cell counts when no front row is componentwise at most its
+    lower corner. The comparisons are exact on floats, and the cell
+    volumes are summed as ``Fraction``s.
+    """
+    point = np.asarray(point, dtype=float).tolist()
+    ref = np.asarray(ref, dtype=float).ravel().tolist()
+    if not all(math.isfinite(v) and v < r for v, r in zip(point, ref)):
+        return Fraction(0)
+    rows = np.asarray(front, dtype=float).reshape(-1, len(ref)).tolist()
+    axes = [
+        sorted({p, r, *(row[j] for row in rows if p < row[j] < r)})
+        for j, (p, r) in enumerate(zip(point, ref))
+    ]
+    total = Fraction(0)
+    for cell in itertools.product(*(range(len(a) - 1) for a in axes)):
+        corner = [a[c] for a, c in zip(axes, cell)]
+        if any(all(map(float.__le__, row, corner)) for row in rows):
+            continue
+        volume = Fraction(1)
+        for a, c in zip(axes, cell):
+            volume *= Fraction(a[c + 1]) - Fraction(a[c])
+        total += volume
+    return total
+
+
+def _gamma(k):
+    """Higham's ``gamma_k = k u / (1 - k u)``, ``u = 2**-53``: the
+    relative error bound of ``k`` rounded operations on non-negative
+    terms."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
@@ -152,10 +235,10 @@ _GRID = st.integers(0, 6).map(lambda k: k / 4.0)
 
 
 @st.composite
-def tie_heavy_fronts(draw, max_points=7):
-    """``(n, m)`` fronts, m in {2, 3, 4}, on the quarter grid, with
-    duplicated rows; ``n`` may be 0."""
-    m = draw(st.integers(2, 4))
+def tie_heavy_fronts(draw, max_points=7, min_dim=2):
+    """``(n, m)`` fronts, ``min_dim <= m <= 4``, on the quarter grid,
+    with duplicated rows; ``n`` may be 0."""
+    m = draw(st.integers(min_dim, 4))
     rows = draw(
         st.lists(st.lists(_GRID, min_size=m, max_size=m), max_size=max_points)
     )
@@ -176,6 +259,19 @@ ARGSORT_TIE_FRONT = np.array(
         [0.375, 0.125, 0.875],
     ]
 )
+
+
+def draws_for(m, max_draws=4):
+    """Hypothesis strategy: ``(k, m)`` draws mixing quarter-grid values
+    (ties with the front and the 1.0 reference) with arbitrary finite
+    floats."""
+    value = st.one_of(
+        _GRID, st.floats(-0.5, 1.5, allow_nan=False, allow_infinity=False)
+    )
+    return st.lists(
+        st.lists(value, min_size=m, max_size=m),
+        min_size=1, max_size=max_draws,
+    ).map(lambda rows: np.array(rows, dtype=float))
 
 
 def point_sets(min_dim=2, max_dim=4, max_points=12):
@@ -343,6 +439,149 @@ class TestHypervolume:
             )
 
 
+class TestBoxDecomposition:
+    """``non_dominated_boxes`` and the Monte-Carlo scoring pass on
+    tie-heavy 3-D and 4-D fronts whose rows may repeat, lie on the 1.0
+    reference box's faces or outside either reference box, or be
+    absent."""
+
+    REFS = st.sampled_from([1.0, 1.1])
+
+    @given(tie_heavy_fronts(min_dim=3), REFS)
+    @settings(max_examples=100, deadline=None)
+    def test_boxes_are_disjoint_and_inside_the_reference_box(
+        self, front, r
+    ):
+        ref = np.full(front.shape[1], r)
+        lower, upper = non_dominated_boxes(front, ref)
+        assert np.all(lower < upper) and np.all(upper <= ref)
+        low = np.maximum(lower[:, None, :], lower[None, :, :])
+        high = np.minimum(upper[:, None, :], upper[None, :, :])
+        overlapping = np.all(low < high, axis=2)
+        np.testing.assert_array_equal(
+            overlapping, np.eye(lower.shape[0], dtype=bool)
+        )
+
+    @given(tie_heavy_fronts(min_dim=3), REFS)
+    @settings(max_examples=100, deadline=None)
+    def test_boxes_complement_the_hypervolume(self, front, r):
+        """Box volume inside ``[ideal, r]`` plus the front's hypervolume
+        is the volume of ``[ideal, r]``. The box volumes are exact
+        rationals here and the hypervolume carries WFG's rounding, far
+        below the tolerance; a cell of ``[ideal, r]`` covered twice or
+        not at all would be off by at least ``0.1 ** m``, since the
+        front's coordinates and the reference lie at least 0.1 apart."""
+        m = front.shape[1]
+        ref = np.full(m, r)
+        inside = front[np.all(front < ref, axis=1)]
+        ideal = inside.min(axis=0) if inside.size else np.zeros(m)
+        lower, upper = non_dominated_boxes(front, ref)
+        box_volume = Fraction(0)
+        for low, high in zip(lower.tolist(), upper.tolist()):
+            volume = Fraction(1)
+            for lj, uj, ij in zip(low, high, ideal.tolist()):
+                volume *= max(Fraction(0), Fraction(uj) - Fraction(max(lj, ij)))
+            box_volume += volume
+        total = math.prod(
+            Fraction(rj) - Fraction(ij)
+            for rj, ij in zip(ref.tolist(), ideal.tolist())
+        )
+        assert float(box_volume) + hypervolume(front, ref) == pytest.approx(
+            float(total), rel=1e-12
+        )
+
+    @given(tie_heavy_fronts(max_points=5, min_dim=3), REFS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gain_is_exact_up_to_rounding(self, front, r, data):
+        """Each draw's gain is a sum of ``K`` non-negative box volumes,
+        each a product of ``m`` widths that are rounded once, so it is
+        within ``gamma(K + 2m - 2)`` relative of the exact rational
+        gain (Higham, Lemma 3.3 with recursive summation)."""
+        m = front.shape[1]
+        ref = np.full(m, r)
+        lower, upper = non_dominated_boxes(front, ref)
+        draws = data.draw(draws_for(m))
+        gains = mean_exclusive_hypervolume(
+            draws[:, None, :], lower, upper, ref
+        )
+        bound = Fraction(_gamma(lower.shape[0] + 2 * m - 2))
+        for draw, gain in zip(draws, gains):
+            exact = exact_gain(draw, front, ref)
+            assert abs(Fraction(gain) - exact) <= bound * exact
+        assert _bits(gains) == _bits(
+            reference_mean_gains(draws[:, None, :], lower, upper, ref)
+        )
+
+    @given(
+        tie_heavy_fronts(min_dim=3), REFS, st.randoms(use_true_random=False),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_row_order_does_not_change_bits(self, front, r, pyrandom, data):
+        m = front.shape[1]
+        ref = np.full(m, r)
+        order = list(range(front.shape[0]))
+        pyrandom.shuffle(order)
+        draws = data.draw(draws_for(m, max_draws=6))
+        samples = np.stack([draws, draws[::-1]])
+        boxes = non_dominated_boxes(front, ref)
+        shuffled = non_dominated_boxes(front[order], ref)
+        assert _bits(boxes[0]) == _bits(shuffled[0])
+        assert _bits(boxes[1]) == _bits(shuffled[1])
+        assert _bits(
+            mean_exclusive_hypervolume(samples, *boxes, ref)
+        ) == _bits(mean_exclusive_hypervolume(samples, *shuffled, ref))
+
+    @given(tie_heavy_fronts(min_dim=3), REFS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_draws_outside_the_box_gain_exactly_zero(self, front, r, data):
+        m = front.shape[1]
+        ref = np.full(m, r)
+        boxes = non_dominated_boxes(front, ref)
+        inside = data.draw(draws_for(m, max_draws=1))[0]
+        inside = np.minimum(inside, np.nextafter(r, 0.0))
+        j = data.draw(st.integers(0, m - 1))
+        outside = []
+        for value in (np.nan, np.inf, -np.inf, r, r + 0.25):
+            draw = inside.copy()
+            draw[j] = value
+            outside.append(draw)
+        samples = np.array([[inside, draw] for draw in outside])
+        with np.errstate(all="raise"):
+            values = mean_exclusive_hypervolume(samples, *boxes, ref)
+            alone = mean_exclusive_hypervolume(
+                np.array(outside)[:, None, :], *boxes, ref
+            )
+            baseline = mean_exclusive_hypervolume(
+                np.array([[inside, ref]]), *boxes, ref
+            )
+        assert _bits(alone) == _bits(np.zeros(len(outside)))
+        assert _bits(values) == _bits(np.repeat(baseline, len(outside)))
+
+    def test_blocks_do_not_change_bits(self, monkeypatch):
+        """The pass scores (candidate, draw) pairs in blocks of at most
+        ``_BLOCK_BYTES`` per ``(boxes, points)`` temporary; a block
+        boundary inside a candidate's draws changes no bit."""
+        rng = np.random.default_rng(8)
+        front = 0.9 * rng.dirichlet(np.ones(3), size=6)
+        ref = np.ones(3)
+        lower, upper = non_dominated_boxes(front, ref)
+        samples = rng.uniform(0.0, 1.0, size=(5, 7, 3))
+        whole = mean_exclusive_hypervolume(samples, lower, upper, ref)
+        monkeypatch.setattr(hv_module, "_BLOCK_BYTES", 8 * lower.shape[0] * 3)
+        blocked = mean_exclusive_hypervolume(samples, lower, upper, ref)
+        assert _bits(blocked) == _bits(whole)
+        assert _bits(whole) == _bits(
+            reference_mean_gains(samples, lower, upper, ref)
+        )
+
+    def test_empty_front_is_one_box_below_the_reference(self):
+        ref = np.array([1.0, 2.0, 3.0])
+        lower, upper = non_dominated_boxes(np.empty((0, 3)), ref)
+        np.testing.assert_array_equal(lower, np.full((1, 3), -np.inf))
+        np.testing.assert_array_equal(upper, ref[None, :])
+
+
 class TestParetoArchive:
     def test_incremental_matches_batch_sort(self):
         rng = np.random.default_rng(11)
@@ -496,8 +735,29 @@ class TestEHVI:
             )
 
     def test_mc_path_matches_oracle_gains_on_tied_front(self):
-        # First objectives tie (0.25, 0.25, 0.5, 0.5) and one row repeats,
-        # so limit sets reach the kernel's argsort branch.
+        """Monte-Carlo EHVI on a front whose first objectives tie (0.25,
+        0.25, 0.5, 0.5) and whose last row repeats, against two oracles.
+
+        Bit for bit: ``reference_mean_gains``, the plain per-draw,
+        per-box loop over the boxes of ``non_dominated_boxes``, in the
+        implementation's summation order.
+
+        Within rounding: the numpy WFG oracle, draw by draw. Every
+        quantity either method forms for a draw ``s`` inside the
+        reference box is a volume inside ``[s, r]`` (box widths and
+        products, partial sums, WFG's inclusive box and limit-set
+        volumes), so each rounding errs by at most ``eps / 2 * V`` with
+        ``V = prod(r - s)``, however small the gain. That is also the
+        scale of WFG's cancellation: ``inclusive - hv(limit set)`` can
+        leave a gain far below ``V`` with ``V``'s absolute error. The
+        box sum rounds ``K + 2m - 2 = 16`` times per draw (``K = 12``
+        boxes, ``m = 3``), so it errs by at most ``8 eps V``. WFG's
+        recursion over this five-row front rounds a comparable number
+        of times (its inclusive box alone ``2m - 1``), and the test
+        allows it as much again: ``16 eps V`` per draw. A draw outside
+        the box gains exactly 0 in both. A box missing or counted twice
+        would be off by its whole overlap with ``[s, r]``.
+        """
         front = np.array(
             [
                 [0.25, 0.5, 0.75],
@@ -516,22 +776,29 @@ class TestEHVI:
 
             return predictor
 
-        predictors = [linear(0, 0.02), linear(1, 0.03), linear(2, 0.01)]
+        variances = [0.02, 0.03, 0.01]
+        predictors = [linear(j, v) for j, v in enumerate(variances)]
         z = np.random.default_rng(3).standard_normal((32, 3))
         acq = ExpectedHypervolumeImprovement(predictors, front, ref, z=z)
         x = np.random.default_rng(4).uniform(0.0, 1.0, size=(6, 3))
         values = acq(x)
-
-        expected = np.zeros(x.shape[0])
-        for i in range(x.shape[0]):
-            mu = np.array([p(x[i : i + 1])[0][0] for p in predictors])
-            sigma = np.sqrt([0.02, 0.03, 0.01])
-            gain = 0.0
-            for sample in mu[None, :] + sigma[None, :] * z:
-                gain += oracle_exclusive_hypervolume(sample, front, ref)
-            expected[i] = gain / z.shape[0]
         assert np.all(values > 0)
-        assert _bits(values) == _bits(expected)
+
+        mu = np.column_stack([p(x)[0] for p in predictors])
+        samples = mu[:, None, :] + np.sqrt(variances) * z[None, :, :]
+        lower, upper = non_dominated_boxes(front, ref)
+        assert lower.shape[0] == 12
+        assert _bits(values) == _bits(
+            reference_mean_gains(samples, lower, upper, ref)
+        )
+
+        draws = samples.reshape(-1, 3)
+        gains = mean_exclusive_hypervolume(draws[:, None, :], lower, upper, ref)
+        wfg = np.array([oracle_exclusive_hypervolume(s, front, ref) for s in draws])
+        volume = np.where(
+            np.all(draws < ref, axis=1), np.prod(ref - draws, axis=1), 0.0
+        )
+        assert np.all(np.abs(gains - wfg) <= 16 * np.finfo(float).eps * volume)
 
 
 class TestParEGO:

@@ -159,8 +159,8 @@ PINNED_IDENTITY = {
 }
 
 PINNED = {
-    "ehvi-3obj": "1e7c3de316a3e3bdec4f0535d66ea77d",
-    "ehvi-3obj-batch2": "5b888ad6c469915fdfe6cc64b9b4a101",
+    "ehvi-3obj": "01e15fe377278ab8eff80112479c46c3",
+    "ehvi-3obj-batch2": "de3b57ff7ab4ceb7812c0d86a3c0517c",
     "ehvi-zdt1": "b0fe5d25cf7ea1e8d7c81124a5cb2e59",
     "ehvi-zdt1-batch2": "76abbdc4ac1d9f43e5e30faafe41a43e",
     "ehvi-zdt1-constrained": "1e61fc0083a1731dd0e29b4da5307bf3",
