@@ -3,9 +3,8 @@
 This package is not part of the library's runtime API. It ships
 ``reprolint`` — a repo-specific static-analysis suite enforcing the
 invariants the optimizer stack depends on (RNG discipline, checkpoint
-schema completeness, executor hygiene, and exception flow and
-failure-path finiteness through ``_evaluate*`` call chains). Run it
-as::
+schema completeness, executor hygiene, and failure-path handlers and
+finiteness). Run it as::
 
     python -m repro.devtools.lint src/
 

@@ -6,8 +6,7 @@ Rule families (IDs are stable; the full catalog is in the README's
 * ``REPRO-RNG00x`` — RNG discipline (:mod:`.rng`)
 * ``REPRO-SER00x`` — serialization round-trips (:mod:`.serialization`)
 * ``REPRO-CONC00x`` — executor hygiene (:mod:`.concurrency`)
-* ``REPRO-XF00x`` — interprocedural exception flow and failure-path
-  finiteness (:mod:`repro.devtools.dataflow.xflow`)
+* ``REPRO-XF00x`` — failure-path handlers and finiteness (:mod:`.failures`)
 
 Suppress a finding inline with ``# reprolint: allow[RULE-ID]`` on the
 flagged line or the line above, followed by a justification.
@@ -18,12 +17,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-# The dataflow package imports .engine, which runs this __init__ first
-# when dataflow is imported on its own; so take its catalog from the
-# xflow module, which needs only .engine, and import check_project
-# where run_lint calls it.
-from ..dataflow import xflow
-from . import concurrency, rng, serialization
+from . import concurrency, failures, rng, serialization
 from .engine import (
     Finding,
     ModuleSource,
@@ -50,7 +44,7 @@ ALL_RULES: dict[str, str] = {
     **rng.RULES,
     **serialization.RULES,
     **concurrency.RULES,
-    **xflow.RULES,
+    **failures.RULES,
 }
 
 
@@ -64,8 +58,6 @@ def run_lint(
     ``manifest`` overrides the committed schema manifest (tests inject
     synthetic ones); ``rules`` restricts the run to a subset of IDs.
     """
-    from ..dataflow import check_project
-
     if manifest is None:
         manifest = load_manifest()
 
@@ -76,13 +68,9 @@ def run_lint(
         (rng.RULES, rng.check),
         (serialization.RULES, _serialization_check),
         (concurrency.RULES, concurrency.check),
+        (failures.RULES, failures.check),
     ]
-    return _run_lint(
-        paths,
-        checkers,
-        rules=rules,
-        project_checkers=(check_project,),
-    )
+    return _run_lint(paths, checkers, rules=rules)
 
 
 def update_schema_manifest(

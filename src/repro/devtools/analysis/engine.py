@@ -89,8 +89,6 @@ class ClassInfo:
     """Project-index entry for one class definition."""
 
     name: str
-    module: str
-    node: ast.ClassDef
     base_names: tuple[str, ...]
     #: class-body assignments ``name = <ast expression>`` (AnnAssign too).
     assignments: dict[str, ast.expr]
@@ -237,8 +235,6 @@ def build_project_index(modules: Iterable[ModuleSource]) -> ProjectIndex:
             index.add(
                 ClassInfo(
                     name=node.name,
-                    module=module_key(module.path),
-                    node=node,
                     base_names=base_names,
                     assignments=assignments,
                 )
@@ -248,51 +244,35 @@ def build_project_index(modules: Iterable[ModuleSource]) -> ProjectIndex:
 
 Checker = Callable[[ModuleSource, ProjectIndex], list[Finding]]
 
-#: Whole-program checker: sees every module and the index at once.
-ProjectChecker = Callable[
-    [list[ModuleSource], ProjectIndex, "set[str] | None"], list[Finding]
-]
-
 
 def run_lint(
     paths: Iterable[Path | str],
     checkers: Iterable[tuple[dict[str, str], Checker]],
     rules: set[str] | None = None,
-    project_checkers: Iterable[ProjectChecker] = (),
 ) -> list[Finding]:
     """Run ``checkers`` over every module under ``paths``.
 
-    ``checkers`` is a sequence of ``(rule_catalog, check_fn)`` pairs run
-    per module; ``project_checkers`` are called once with every parsed
-    module (for interprocedural rules). ``rules`` optionally restricts
-    the run to a subset of rule IDs. Returns findings sorted by path,
-    line and rule, inline-suppressed ones dropped.
+    ``checkers`` is a sequence of ``(rule_catalog, check_fn)`` pairs;
+    ``rules`` optionally restricts the run to a subset of rule IDs.
+    Returns findings sorted by path, line and rule, with inline
+    suppressions already filtered out.
     """
     modules: list[ModuleSource] = []
     findings: list[Finding] = []
-    by_path = {}
     for path in iter_python_files(paths):
         loaded = load_module(path)
         if isinstance(loaded, Finding):
             findings.append(loaded)
         else:
             modules.append(loaded)
-            by_path[loaded.display_path] = loaded
-
-    def emit(module: ModuleSource | None, finding: Finding) -> None:
-        if rules is not None and finding.rule not in rules:
-            return
-        if module is None or not module.is_suppressed(finding):
-            findings.append(finding)
-
     index = build_project_index(modules)
     for module in modules:
         for catalog, check in checkers:
             if rules is not None and not (set(catalog) & rules):
                 continue
             for finding in check(module, index):
-                emit(module, finding)
-    for project_check in project_checkers:
-        for finding in project_check(modules, index, rules):
-            emit(by_path.get(finding.path), finding)
+                if rules is not None and finding.rule not in rules:
+                    continue
+                if not module.is_suppressed(finding):
+                    findings.append(finding)
     return sorted(findings)

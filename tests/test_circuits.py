@@ -1,10 +1,14 @@
 """Tests for repro.circuits (PVT corners, PA testbench, charge pump)."""
 
 import functools
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import repro
 from repro.circuits import (
     N_CORNERS,
     ChargePumpProblem,
@@ -25,7 +29,7 @@ from repro.circuits import (
 from repro.circuits.charge_pump import DEVICE_NAMES
 from repro.circuits.power_amplifier import FAILED_METRICS
 from repro.problems import FIDELITY_HIGH, FIDELITY_LOW, FailedEvaluation
-from repro.spice import simulate_transient
+from repro.spice import ConvergenceError, simulate_transient
 from repro.spice.waveform import Waveform
 
 
@@ -155,6 +159,55 @@ def test_pa_problem_dead_output_evaluation_is_finite(monkeypatch):
     assert np.isfinite(evaluation.objective)
     assert np.all(np.isfinite(evaluation.constraints))
     assert not evaluation.feasible
+
+
+# ----------------------------------------------------------------------
+# the exception half of the failure contract
+# ----------------------------------------------------------------------
+#: Exception classes defined under ``repro.spice`` or ``repro.circuits``
+#: that may leave a circuit problem's ``evaluate()`` unregistered, each
+#: with the reason it must kill the run. Empty: every simulator error is
+#: a scored failure.
+ESCAPING_EXCEPTIONS: dict[type, str] = {}
+
+CIRCUIT_PROBLEMS = [
+    name
+    for name in repro.list_problems()
+    if type(repro.get_problem(name)).__module__.startswith("repro.circuits.")
+]
+
+
+def defined_exceptions(*packages):
+    """Every exception class defined at module level under ``packages``."""
+    found = []
+    for package in packages:
+        path = importlib.import_module(package).__path__
+        for info in pkgutil.walk_packages(path, f"{package}."):
+            module = importlib.import_module(info.name)
+            found += [
+                obj
+                for _, obj in inspect.getmembers(module, inspect.isclass)
+                if issubclass(obj, BaseException) and obj.__module__ == info.name
+            ]
+    return found
+
+
+@pytest.mark.parametrize("name", CIRCUIT_PROBLEMS)
+def test_simulator_exceptions_are_registered_failures(name):
+    """An exception ``evaluate()`` does not catch escapes Algorithm 1 and
+    kills the run (or a farm worker), so every error the simulator and
+    testbenches define must be in the problem's ``failure_exceptions``,
+    subclass-aware as ``except`` is."""
+    problem = repro.get_problem(name)
+    exceptions = defined_exceptions("repro.spice", "repro.circuits")
+    assert ConvergenceError in exceptions
+    unregistered = [
+        f"{exc.__module__}.{exc.__qualname__}"
+        for exc in exceptions
+        if not issubclass(exc, problem.failure_exceptions)
+        and exc not in ESCAPING_EXCEPTIONS
+    ]
+    assert unregistered == []
 
 
 class TestChargePumpModel:

@@ -7,12 +7,16 @@ guarantee: ``reprolint`` over ``src/repro`` reports zero findings.
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
-from repro.devtools.analysis import run_lint, update_schema_manifest
+import pytest
+
+from repro.devtools.analysis import ALL_RULES, run_lint, update_schema_manifest
 from repro.devtools.analysis.engine import build_project_index, load_module
-from repro.devtools.analysis.serialization import build_manifest
+from repro.devtools.analysis.serialization import MANIFEST_PATH, build_manifest
 from repro.devtools.lint import main as lint_main
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -35,11 +39,12 @@ def findings_of(
     tmp_path: Path,
     source: str,
     manifest: dict | None = None,
+    rules: set[str] | None = None,
 ) -> list[tuple[str, int]]:
     path = write_fixture(tmp_path, source)
     if manifest is None:
         manifest = manifest_for(path)
-    found = run_lint([path], manifest=manifest)
+    found = run_lint([path], rules=rules, manifest=manifest)
     return [(f.rule, f.line) for f in found]
 
 
@@ -225,40 +230,56 @@ def test_update_schema_manifest_round_trip(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# failure-path finiteness written in the body itself: a direct raise is
-# held to the narrow escape set (XF001), a literal is reported where it
-# stands (XF003)
+# failure paths: swallowed farm-control exceptions (XF002) and
+# non-finite literals outside the failure hooks (XF003)
 # ----------------------------------------------------------------------
-def test_fail001_unregistered_exception(tmp_path):
+def test_xf002_swallowed_timeout(tmp_path):
     source = """
-    class Problem:
-        failure_exceptions = ()
-
-
-    class Bad(Problem):
-        def _evaluate(self, x, fidelity):
-            raise ValueError("simulator blew up")
+    def pump(pool, fn):
+        try:
+            return pool.submit(fn).result(timeout=1.0)
+        except TimeoutError:
+            return None
     """
-    assert findings_of(tmp_path, source) == [("REPRO-XF001", 7)]
+    assert findings_of(tmp_path, source, rules={"REPRO-XF002"}) == [
+        ("REPRO-XF002", 4)
+    ]
 
 
-def test_fail001_registered_exception_is_fine(tmp_path):
+def test_xf002_bare_except_without_reraise(tmp_path):
     source = """
-    class ConvergenceError(RuntimeError):
-        pass
-
-
-    class Problem:
-        failure_exceptions = ()
-
-
-    class Good(Problem):
-        failure_exceptions = (ConvergenceError,)
-
-        def _evaluate(self, x, fidelity):
-            raise ConvergenceError("did not converge")
+    def read(path):
+        try:
+            return open(path).read()
+        except:
+            return ""
     """
-    assert findings_of(tmp_path, source) == []
+    assert findings_of(tmp_path, source, rules={"REPRO-XF002"}) == [
+        ("REPRO-XF002", 4)
+    ]
+
+
+def test_xf002_reraise_is_fine(tmp_path):
+    source = """
+    def pump(pool, fn):
+        try:
+            return pool.submit(fn).result(timeout=1.0)
+        except TimeoutError:
+            pool.shutdown()
+            raise
+    """
+    assert findings_of(tmp_path, source, rules={"REPRO-XF002"}) == []
+
+
+def test_xf002_noncritical_handler_is_fine(tmp_path):
+    source = """
+    def parse(text):
+        try:
+            return float(text)
+        except ValueError:
+            return 0.0
+    """
+    assert findings_of(tmp_path, source, rules={"REPRO-XF002"}) == []
 
 
 def test_fail002_nonfinite_literal_in_evaluate(tmp_path):
@@ -296,6 +317,23 @@ def test_fail002_failure_hooks_are_exempt(tmp_path):
             return Evaluation(objective=float("inf"), fidelity=fidelity)
     """
     assert findings_of(tmp_path, source) == []
+
+
+def test_xf003_honours_inline_suppression(tmp_path):
+    source = """
+    import numpy as np
+
+
+    def build(Evaluation):
+        return Evaluation(
+            # reprolint: allow[REPRO-XF003] fixture justification
+            objective=np.inf,
+            fidelity="high",
+        )
+    """
+    assert findings_of(tmp_path, source) == []
+    other_rule = source.replace("REPRO-XF003", "REPRO-XF002")
+    assert findings_of(tmp_path, other_rule) == [("REPRO-XF003", 7)]
 
 
 # ----------------------------------------------------------------------
@@ -414,10 +452,23 @@ def test_cli_list_rules(capsys):
         "REPRO-SER002",
         "REPRO-SER003",
         "REPRO-SER004",
-        "REPRO-XF001",
         "REPRO-XF002",
         "REPRO-XF003",
     ]
+
+
+def test_cli_text_format_hides_suppressed(tmp_path, capsys):
+    source = """
+    import numpy as np
+
+
+    def make():
+        return np.random.default_rng()  # reprolint: allow[REPRO-RNG003] test
+    """
+    path = write_fixture(tmp_path, source)
+    code = lint_main([str(path), "--rules", "REPRO-RNG003"])
+    assert code == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -431,3 +482,29 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_clean_tree_has_zero_findings():
     findings = run_lint([REPO_SRC])
     assert [f.render() for f in findings] == []
+
+
+def test_schema_manifest_regeneration_is_byte_identical(tmp_path):
+    first = tmp_path / "manifest_a.json"
+    second = tmp_path / "manifest_b.json"
+    update_schema_manifest([REPO_SRC], manifest_path=first)
+    update_schema_manifest([REPO_SRC], manifest_path=second)
+    blob = first.read_bytes()
+    assert blob == second.read_bytes()
+    assert blob.endswith(b"\n")
+    # The committed manifest must be exactly what regeneration produces.
+    assert blob == MANIFEST_PATH.read_bytes()
+
+
+@pytest.mark.parametrize("module", ["repro.devtools.analysis", "repro.devtools.lint"])
+def test_each_devtools_package_imports_first_in_a_fresh_interpreter(module):
+    """Whichever devtools module a fresh interpreter imports first must
+    load and see the whole catalog."""
+    code = (
+        f"import {module}\n"
+        "from repro.devtools.analysis import ALL_RULES\n"
+        "print(' '.join(sorted(ALL_RULES)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == sorted(ALL_RULES)

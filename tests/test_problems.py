@@ -1,19 +1,27 @@
 """Tests for repro.problems (base + synthetic suites)."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro
+from repro.design.sampling import maximin_latin_hypercube
 from repro.problems import (
     FIDELITY_HIGH,
     FIDELITY_LOW,
     BraninProblem,
     ConstrainedBraninProblem,
     CurrinProblem,
+    FailedEvaluation,
     ForresterProblem,
     GardnerProblem,
     Hartmann3Problem,
+    MultiObjectiveProblem,
     ParkProblem,
     PedagogicalProblem,
+    Problem,
     branin_high,
     forrester_high,
     forrester_low,
@@ -34,17 +42,71 @@ ALL_PROBLEMS = [
 ]
 
 
+#: ``get_problem`` kwargs for the sweep: the latency problem sleeps by
+#: default to model a slow farm.
+SWEEP_KWARGS = {"latency": {"fast_s": 0.0, "slow_s": 0.0}}
+
+
+def sweep_panel(dim):
+    """The all-0 and all-1 corners, the 2d face centres and 4 maximin-LHS
+    points at a fixed seed."""
+    faces = np.full((2 * dim, dim), 0.5)
+    faces[np.arange(dim), np.arange(dim)] = 0.0
+    faces[dim + np.arange(dim), np.arange(dim)] = 1.0
+    lhs = maximin_latin_hypercube(4, dim, rng=np.random.default_rng(0))
+    return np.vstack([np.zeros(dim), np.ones(dim), faces, lhs])
+
+
+def is_finite_outcome(evaluation):
+    values = [evaluation.objective, *evaluation.constraints]
+    values += list(getattr(evaluation, "objectives", []))
+    return bool(np.all(np.isfinite(values)))
+
+
+def all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_subclasses(sub)
+
+
 class TestProblemInterface:
-    @pytest.mark.parametrize("cls", ALL_PROBLEMS)
-    def test_evaluate_both_fidelities(self, cls):
-        problem = cls()
-        rng = np.random.default_rng(0)
-        u = rng.random(problem.dim)
+    @pytest.mark.parametrize("name", repro.list_problems())
+    def test_evaluate_both_fidelities(self, name):
+        """Algorithm 1 needs every simulation back as a finite, scored
+        outcome: the GP fits and the wEI cannot absorb an escaped
+        exception or an inf. So over a fixed panel, at every fidelity,
+        ``evaluate_unit`` raises nothing and returns finite values (a
+        ``FailedEvaluation`` included), and so do the failure hooks."""
+        problem = repro.get_problem(name, **SWEEP_KWARGS.get(name, {}))
         for fidelity in problem.fidelities:
-            evaluation = problem.evaluate_unit(u, fidelity)
-            assert np.isfinite(evaluation.objective)
-            assert evaluation.constraints.shape == (problem.n_constraints,)
-            assert evaluation.fidelity == fidelity
+            assert is_finite_outcome(problem.failure_evaluation(fidelity, x=None))
+            for u in sweep_panel(problem.dim):
+                evaluation = problem.evaluate_unit(u, fidelity)
+                assert is_finite_outcome(evaluation), (u, evaluation)
+                assert evaluation.constraints.shape == (problem.n_constraints,)
+                assert evaluation.fidelity == fidelity
+                failure = problem.failure_evaluation(
+                    fidelity, x=problem.space.from_unit(u)
+                )
+                assert isinstance(failure, FailedEvaluation)
+                assert is_finite_outcome(failure), (u, failure)
+
+    def test_every_public_problem_is_swept(self):
+        """No ``Problem`` subclass defined in ``repro`` can skip the sweep
+        above: each one is some registered name's class."""
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not info.name.endswith(".__main__"):
+                importlib.import_module(info.name)
+        public = {
+            cls
+            for cls in all_subclasses(Problem)
+            if cls.__module__.startswith("repro.") and not cls.__name__.startswith("_")
+        }
+        registered = {
+            type(repro.get_problem(name, **SWEEP_KWARGS.get(name, {})))
+            for name in repro.list_problems()
+        }
+        assert public - registered == {MultiObjectiveProblem}
 
     @pytest.mark.parametrize("cls", ALL_PROBLEMS)
     def test_cost_structure(self, cls):
