@@ -42,7 +42,6 @@ SESSION_SUITE = "benchmarks/test_session_overhead.py"
 SPARSE_SUITE = "benchmarks/test_substrate_sparse.py"
 MOO_SUITE = "benchmarks/test_moo_perf.py"
 FARM_SUITE = "benchmarks/test_farm_throughput.py"
-SERVICE_SUITE = "benchmarks/test_service_perf.py"
 
 
 def default_output_name() -> str:
@@ -183,14 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     # throughput suites too: the ask/tell layer must keep producing the
     # legacy trajectories, both solver backends must keep solving the
     # large-circuit scenario, the hypervolume/EHVI/MOMFBO hot paths stay
-    # under the perf guard, the async farm must hold its >= 3x
-    # advantage over the barrier pool on heterogeneous latencies, and
-    # the service posterior cache must keep its >= 2x hit-vs-refit edge.
+    # under the perf guard, and the async farm must hold its >= 3x
+    # advantage over the barrier pool on heterogeneous latencies.
     targets = (
         ["benchmarks"]
         if args.all
         else [SUBSTRATE_SUITE, SESSION_SUITE, SPARSE_SUITE, MOO_SUITE,
-              FARM_SUITE, SERVICE_SUITE]
+              FARM_SUITE]
     )
     if args.smoke:
         return run_suite(targets, None)

@@ -11,12 +11,13 @@ Four acts, all against one run vault:
 3. **Kill and resume** — a client abandons a run mid-flight (as if the
    machine died); a second client re-attaches and the vault replays
    every acknowledged evaluation before continuing, point-for-point.
-4. **Query** — list runs, pull posterior predictions (served from the
-   LRU posterior cache; the second call is a hit), inspect cache stats.
+4. **Query** — list the finished runs, then read the revived run's
+   status and its full evaluation history back over the wire.
 
 Run:  python examples/service.py
 """
 
+import shutil
 import tempfile
 import threading
 
@@ -28,7 +29,13 @@ SETTINGS = dict(budget=8, n_init=3)
 
 def main() -> None:
     vault_root = tempfile.mkdtemp(prefix="repro-vault-")
+    try:
+        run(vault_root)
+    finally:
+        shutil.rmtree(vault_root, ignore_errors=True)
 
+
+def run(vault_root: str) -> None:
     # -- act 1: boot the server ----------------------------------------
     server = serve(vault_root)
     server.start_background()
@@ -87,14 +94,17 @@ def main() -> None:
         result = revived.run()
         print(f"[rescuer] finished, best objective {result.best_objective:.4f}")
 
-        # -- act 4: queries + the posterior cache ----------------------
+        # -- act 4: queries ------------------------------------------
         runs = client.ls(status="done")
         print(f"[query] {len(runs)} finished runs in the vault")
-        _, _, hit_cold = revived.predict([[0.25], [0.75]])
-        _, _, hit_warm = revived.predict([[0.25], [0.75]])
-        print(f"[query] predict served cold (cache hit: {hit_cold}), "
-              f"then warm (cache hit: {hit_warm})")
-        print(f"[query] cache stats: {client.cache_stats()}")
+        status = revived.status()
+        history = revived.history()
+        assert len(history) == status["n_evaluations"]
+        best = history.incumbent(revived.problem.highest_fidelity)
+        print(f"[query] {victim_id}: status {status['status']}, "
+              f"{len(history)} evaluations, total cost "
+              f"{status['total_cost']:.1f}, best objective "
+              f"{best.objective:.4f}")
         revived.detach()
         client.shutdown()
     server.server_close()

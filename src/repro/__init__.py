@@ -29,7 +29,7 @@ Substrate highlights
 - :mod:`repro.circuits` — power-amplifier, charge-pump and two-stage
   op-amp testbenches; :mod:`repro.spice` — a small MNA simulator.
 - :mod:`repro.service` — optimization as a service: persistent
-  :class:`repro.RunVault`, TCP session server, posterior cache.
+  :class:`repro.RunVault`, TCP session server, wire client.
 
 Submodules import lazily (PEP 562): ``import repro`` stays cheap, and
 heavy substrate (spice, GP code) only loads when first touched.
@@ -79,7 +79,6 @@ _EXPORTS = {
     "RunInfo": "service",
     "VaultSession": "service",
     "VaultError": "service",
-    "PosteriorCache": "service",
     "SessionServer": "service",
     "ServiceClient": "service",
     "ServiceError": "service",
@@ -190,7 +189,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis sees eager imports
         register_problem,
     )
     from .service import (
-        PosteriorCache,
         RemoteSession,
         RunInfo,
         RunVault,

@@ -1,10 +1,10 @@
 """Thread-safe in-process metrics: counters, gauges, histograms.
 
 A :class:`MetricsRegistry` is a named collection of instruments with
-get-or-create semantics — ``registry.counter("cache.hits").inc()`` is
-safe from any thread, and repeated lookups return the same instrument.
-Components that need isolated numbers (a server, an evaluator farm, a
-posterior cache under test) each own a registry instance rather than
+get-or-create semantics — ``registry.counter("op.ping.requests").inc()``
+is safe from any thread, and repeated lookups return the same
+instrument. Components that need isolated numbers (a server, an
+evaluator farm) each own a registry instance rather than
 sharing process-global state, so parallel tests and stacked servers
 never cross-contaminate.
 

@@ -11,9 +11,6 @@ The service layer promotes the in-process ask/tell machinery
   whose every observation is durably logged before it is acknowledged,
   so a killed process loses nothing: :meth:`RunVault.resume` replays the
   acknowledged tail point-for-point on top of the last checkpoint.
-* :class:`PosteriorCache` — LRU cache of fitted GP/NARGP posteriors
-  keyed on history content hashes; reconnecting or read-only clients
-  never pay refit cost twice for the same history.
 * :class:`SessionServer` / :func:`serve` — a stdlib TCP front end
   (newline-delimited JSON frames) serving concurrent sessions backed by
   one vault.
@@ -24,7 +21,6 @@ The service layer promotes the in-process ask/tell machinery
   ``resume`` / ``gc`` subcommands over a vault root.
 """
 
-from .cache import PosteriorCache, SurrogatePosterior, history_fingerprint
 from .client import RemoteSession, ServiceClient, ServiceError, connect
 from .server import SessionServer, serve
 from .vault import RunInfo, RunVault, VaultError, VaultSession
@@ -34,9 +30,6 @@ __all__ = [
     "RunInfo",
     "VaultSession",
     "VaultError",
-    "PosteriorCache",
-    "SurrogatePosterior",
-    "history_fingerprint",
     "SessionServer",
     "serve",
     "ServiceClient",

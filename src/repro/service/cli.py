@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve = with_root(sub.add_parser("serve", help="run a session server"))
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0)
-    p_serve.add_argument("--cache-size", type=int, default=8)
 
     p_ls = with_root(sub.add_parser("ls", help="list vaulted runs"))
     p_ls.add_argument("--problem")
@@ -66,9 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import serve
 
-    server = serve(
-        args.root, args.host, args.port, cache_size=args.cache_size
-    )
+    server = serve(args.root, args.host, args.port)
     host, port = server.address
     print(f"listening on {host}:{port}", flush=True)
     try:

@@ -117,11 +117,8 @@ class ServiceClient:
             "removed"
         ]
 
-    def cache_stats(self) -> dict:
-        return self.call("cache_stats")
-
     def stats(self) -> dict:
-        """Server-wide metrics snapshot: per-op latencies + cache stats."""
+        """Server-wide metrics snapshot: per-op counters and latencies."""
         return self.call("stats")
 
     def shutdown(self) -> None:
@@ -213,18 +210,6 @@ class RemoteSession:
 
         return History.from_dict(
             self.client.call("history", run_id=self.run_id)["history"]
-        )
-
-    def predict(self, x_unit) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Posterior ``(mean, std, cache_hit)`` from the server's cache."""
-        x_unit = np.atleast_2d(np.asarray(x_unit, dtype=float))
-        reply = self.client.call(
-            "predict", run_id=self.run_id, x_unit=x_unit.tolist()
-        )
-        return (
-            np.asarray(reply["mean"], dtype=float),
-            np.asarray(reply["std"], dtype=float),
-            bool(reply["cache_hit"]),
         )
 
     # ------------------------------------------------------------------

@@ -28,7 +28,6 @@ import numpy as np
 
 from ..obs import LATENCY_BUCKETS_S, MetricsRegistry
 from ..problems.base import Evaluation
-from .cache import PosteriorCache, SurrogatePosterior, history_fingerprint
 from .vault import RunVault, VaultError, VaultSession
 
 __all__ = ["SessionServer", "serve"]
@@ -48,9 +47,6 @@ class SessionServer(socketserver.ThreadingTCPServer):
     host, port:
         Bind address; ``port=0`` picks a free port (see
         :attr:`address`).
-    cache_size:
-        Capacity of the LRU :class:`PosteriorCache` behind the
-        ``predict`` op.
     request_timeout:
         Socket timeout applied to every client connection.
     """
@@ -64,15 +60,11 @@ class SessionServer(socketserver.ThreadingTCPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        cache_size: int = 8,
         request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
     ) -> None:
         self.vault = vault if isinstance(vault, RunVault) else RunVault(vault)
         self.request_timeout = float(request_timeout)
-        # One registry for the whole server: the cache shares it, so the
-        # `stats` op exports cache counters next to per-op latencies.
         self.metrics = MetricsRegistry()
-        self.cache = PosteriorCache(maxsize=cache_size, metrics=self.metrics)
         self.sessions: dict[str, VaultSession] = {}
         self._sessions_lock = threading.Lock()
         self._run_locks: dict[str, threading.Lock] = {}
@@ -157,9 +149,9 @@ class SessionServer(socketserver.ThreadingTCPServer):
     def _op_create(self, request: dict) -> dict:
         session = self.vault.open_session(
             str(request["problem"]),
-            str(request.get("strategy") or "mfbo"),
+            str(request.get("strategy", "mfbo")),
             run_id=request.get("run_id"),
-            checkpoint_every=int(request.get("checkpoint_every") or 1),
+            checkpoint_every=int(request.get("checkpoint_every", 1)),
             problem_kwargs=request.get("problem_kwargs"),
             **(request.get("config") or {}),
         )
@@ -174,7 +166,7 @@ class SessionServer(socketserver.ThreadingTCPServer):
         if session is None:
             session = self.vault.resume(
                 run_id,
-                checkpoint_every=int(request.get("checkpoint_every") or 1),
+                checkpoint_every=int(request.get("checkpoint_every", 1)),
             )
             with self._sessions_lock:
                 self.sessions[run_id] = session
@@ -190,7 +182,7 @@ class SessionServer(socketserver.ThreadingTCPServer):
 
     def _op_suggest(self, request: dict) -> dict:
         session = self._session(str(request["run_id"]))
-        suggestions = session.suggest(int(request.get("k") or 1))
+        suggestions = session.suggest(int(request.get("k", 1)))
         return {
             "suggestions": [
                 {
@@ -239,34 +231,14 @@ class SessionServer(socketserver.ThreadingTCPServer):
         session = self._session(str(request["run_id"]))
         return {"history": session.history.to_dict()}
 
-    def _op_predict(self, request: dict) -> dict:
-        session = self._session(str(request["run_id"]))
-        history = session.history
-        key = history_fingerprint(session.problem.name, history)
-        posterior, hit = self.cache.get_or_fit(
-            key,
-            lambda: SurrogatePosterior(session.problem, history),
-        )
-        mean, std = posterior.predict(
-            np.asarray(request["x_unit"], dtype=float)
-        )
-        return {
-            "mean": mean.tolist(),
-            "std": std.tolist(),
-            "cache_hit": hit,
-            "fingerprint": key,
-        }
-
-    def _op_cache_stats(self, request: dict) -> dict:
-        return self.cache.stats()
-
     def _op_stats(self, request: dict) -> dict:
-        """Server-wide telemetry: per-op latencies plus cache counters.
+        """Server-wide telemetry: per-op request and error counters and
+        latency histograms.
 
         Not per-run — the snapshot covers every run the server has
         touched, so it takes no run lock.
         """
-        return {"metrics": self.metrics.snapshot(), "cache": self.cache.stats()}
+        return {"metrics": self.metrics.snapshot()}
 
     def _op_ls(self, request: dict) -> dict:
         infos = self.vault.list_runs(
@@ -277,7 +249,7 @@ class SessionServer(socketserver.ThreadingTCPServer):
         return {"runs": [info.to_dict() for info in infos]}
 
     def _op_gc(self, request: dict) -> dict:
-        statuses = tuple(request.get("statuses") or ("done",))
+        statuses = tuple(request.get("statuses", ("done",)))
         removed = self.vault.gc(
             statuses=statuses, dry_run=bool(request.get("dry_run"))
         )
@@ -307,7 +279,7 @@ class SessionServer(socketserver.ThreadingTCPServer):
 #: it cannot contend; ``status``/``ls``/``gc`` only touch vault files
 #: written atomically.
 _PER_RUN_OPS = frozenset(
-    {"attach", "detach", "suggest", "observe", "result", "history", "predict"}
+    {"attach", "detach", "suggest", "observe", "result", "history"}
 )
 
 
@@ -354,7 +326,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    cache_size: int = 8,
     request_timeout: float = DEFAULT_REQUEST_TIMEOUT,
 ) -> SessionServer:
     """Build a :class:`SessionServer` bound to ``(host, port)``.
@@ -364,10 +335,4 @@ def serve(
     :meth:`~SessionServer.start_background` for an in-process daemon
     thread (tests and :mod:`examples.service` do this).
     """
-    return SessionServer(
-        vault,
-        host,
-        port,
-        cache_size=cache_size,
-        request_timeout=request_timeout,
-    )
+    return SessionServer(vault, host, port, request_timeout=request_timeout)

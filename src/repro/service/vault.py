@@ -323,10 +323,20 @@ class RunVault:
     # maintenance
     # ------------------------------------------------------------------
     def delete(self, run_id: str) -> None:
-        """Remove one run directory and everything in it."""
+        """Remove one run directory and everything in it.
+
+        Refuses a run whose writer lock names a live process: that
+        process still appends to the run and checkpoints it on close.
+        """
         run_dir = self.run_dir(run_id)
         if not (run_dir / "meta.json").exists():
             raise VaultError(f"no run {run_id!r} in vault {self.root}")
+        holder = _live_holder(self.lock_path(run_id))
+        if holder:
+            raise VaultError(
+                f"run {run_id!r} is held by live process {holder}; close "
+                "or detach its session first"
+            )
         for entry in sorted(run_dir.rglob("*"), reverse=True):
             entry.unlink() if entry.is_file() else entry.rmdir()
         run_dir.rmdir()
@@ -336,11 +346,15 @@ class RunVault:
         statuses: tuple[str, ...] = ("done",),
         dry_run: bool = False,
     ) -> list[str]:
-        """Delete finished runs (by status); returns the affected IDs."""
+        """Delete finished runs (by status); returns the removed IDs.
+
+        A run a live process holds is skipped, whatever its status.
+        """
         victims = [
             info.run_id
             for info in self.list_runs()
             if info.status in statuses
+            and not _live_holder(self.lock_path(info.run_id))
         ]
         if not dry_run:
             for run_id in victims:
@@ -387,14 +401,20 @@ class RunVault:
             problem_kwargs=problem_kwargs,
             run_id=run_id,
         )
-        session = VaultSession(
-            strategy,
-            vault=self,
-            run_id=run_id,
-            evaluator=evaluator,
-            checkpoint_every=checkpoint_every,
-            own_evaluator=own_evaluator,
-        )
+        try:
+            session = VaultSession(
+                strategy,
+                vault=self,
+                run_id=run_id,
+                evaluator=evaluator,
+                checkpoint_every=checkpoint_every,
+                own_evaluator=own_evaluator,
+            )
+        except Exception:
+            # A refused session leaves no run behind: without its
+            # pristine checkpoint, `resume` could never load it.
+            self.delete(run_id)
+            raise
         # Checkpoint the pristine state immediately: resume then always
         # has a snapshot to replay events onto, even if the process dies
         # before the first periodic checkpoint.
@@ -541,11 +561,8 @@ class VaultSession(OptimizationSession):
             try:
                 fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
-                try:
-                    holder = int(path.read_text().strip() or "0")
-                except (OSError, ValueError):
-                    holder = 0
-                if holder and holder != pid and _pid_alive(holder):
+                holder = _live_holder(path)
+                if holder and holder != pid:
                     raise VaultError(
                         f"run {self.run_id!r} is locked by live process "
                         f"{holder}; a run accepts one writer at a time"
@@ -685,6 +702,15 @@ class VaultSession(OptimizationSession):
             self._events_file.close()
         self._release_lock()
         super().close()
+
+
+def _live_holder(lock: Path) -> int:
+    """The pid a writer lock names if that process is alive, else 0."""
+    try:
+        holder = int(lock.read_text().strip() or "0")
+    except (OSError, ValueError):
+        return 0
+    return holder if holder and _pid_alive(holder) else 0
 
 
 def _pid_alive(pid: int) -> bool:

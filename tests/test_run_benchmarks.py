@@ -17,6 +17,14 @@ def runner():
     return module
 
 
+def test_every_suite_path_exists(runner):
+    """A deleted suite must leave the runner's targets with it, or only
+    CI's ``--smoke`` and guard jobs would notice."""
+    suites = [v for k, v in vars(runner).items() if k.endswith("_SUITE")]
+    assert suites
+    assert [p for p in suites if not (runner.REPO_ROOT / p).is_file()] == []
+
+
 def _bench_file(path, mins):
     """A minimal ``pytest-benchmark --benchmark-json`` file."""
     path.write_text(

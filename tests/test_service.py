@@ -1,4 +1,4 @@
-"""The session server: concurrent clients, kill-resume, cache, CLI.
+"""The session server: concurrent clients, kill-resume, CLI.
 
 The headline guarantees under test:
 
@@ -7,8 +7,8 @@ The headline guarantees under test:
 * SIGKILLing the *server process* mid-run loses no observation the
   client saw acknowledged — a restarted server replays the vault
   point-for-point;
-* the posterior cache serves repeat ``predict`` calls without refits
-  and invalidates (by key change) the moment the history grows.
+* the wire refuses what the in-process session refuses, and ``gc``
+  never removes a run a client is still attached to.
 """
 
 import json
@@ -49,6 +49,17 @@ class TestProtocol:
             with pytest.raises(ServiceError, match="unknown op"):
                 client.call("frobnicate")
             assert client.ping()  # connection survives the error
+
+    @pytest.mark.parametrize("op", ["predict", "cache_stats"])
+    def test_retired_op_is_unknown(self, server, op):
+        """A client built against the retired posterior-cache ops gets a
+        clean error and keeps a usable connection."""
+        with connect(server.address) as client:
+            session = client.create("forrester", "random_search", **RS)
+            with pytest.raises(ServiceError, match="unknown op"):
+                client.call(op, run_id=session.run_id, x_unit=[[0.5]])
+            assert client.ping()
+            assert session.status()["n_evaluations"] == 0
 
     def test_unattached_run_is_reported(self, server):
         with connect(server.address) as client:
@@ -164,40 +175,37 @@ class TestRemoteSessions:
             assert client.gc() == [session.run_id]
             assert client.ls() == []
 
-
-class TestPosteriorCache:
-    def test_hit_miss_and_invalidation_accounting(self, server):
+    def test_gc_spares_an_attached_run(self, server):
+        """A done run a client is still attached to survives ``gc``, and
+        its ``detach`` can still checkpoint it."""
         with connect(server.address) as client:
-            session = client.create(
-                "forrester", "random_search", budget=9, n_init=4, seed=3
-            )
-            for x_unit, fidelity in session.suggest(4):
-                session.observe(
-                    x_unit, fidelity,
-                    session.problem.evaluate_unit(x_unit, fidelity),
-                )
-            grid = [[0.25], [0.5], [0.75]]
-
-            mean1, std1, hit1 = session.predict(grid)
-            assert not hit1
-            mean2, std2, hit2 = session.predict(grid)
-            assert hit2
-            np.testing.assert_array_equal(mean1, mean2)
-            np.testing.assert_array_equal(std1, std2)
-            stats = client.cache_stats()
-            assert stats["hits"] == 1 and stats["misses"] == 1
-
-            # One more observation changes the fingerprint: a fresh miss.
-            for x_unit, fidelity in session.suggest(1):
-                session.observe(
-                    x_unit, fidelity,
-                    session.problem.evaluate_unit(x_unit, fidelity),
-                )
-            _, _, hit3 = session.predict(grid)
-            assert not hit3
-            stats = client.cache_stats()
-            assert stats["misses"] == 2 and stats["size"] == 2
+            session = client.create("forrester", "random_search", **RS)
+            session.run()
+            assert session.status()["status"] == "done"
+            assert client.gc(dry_run=True) == []
+            assert client.gc() == []
+            assert [r["run_id"] for r in client.ls()] == [session.run_id]
             session.detach()
+            assert client.gc(statuses=[]) == []
+            assert client.gc() == [session.run_id]
+
+    def test_wire_refuses_what_the_session_refuses(self, server):
+        """Out-of-range fields are refused, not quietly replaced."""
+        with connect(server.address) as client:
+            with pytest.raises(ServiceError, match="checkpoint_every"):
+                client.create(
+                    "forrester", "random_search", checkpoint_every=0, **RS
+                )
+            assert server.vault.run_ids() == []
+            session = client.create("forrester", "random_search", **RS)
+            with pytest.raises(ServiceError, match="k must be >= 1"):
+                session.suggest(0)
+            assert session.status()["n_evaluations"] == 0
+            assert len(session.suggest(1)) == 1
+            session.detach()
+            with pytest.raises(ServiceError, match="checkpoint_every"):
+                client.attach(session.run_id, checkpoint_every=0)
+            assert session.run_id not in server.sessions
 
 
 class _ServerProcess:

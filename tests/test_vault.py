@@ -389,6 +389,30 @@ class TestQueriesAndMaintenance:
         assert vault.gc() == [done_id]
         assert vault.run_ids() == [live_id]
 
+    def test_gc_and_delete_spare_a_run_an_open_session_holds(self, tmp_path):
+        vault = RunVault(tmp_path)
+        session = vault.open_session(
+            "forrester", "random_search", budget=4, n_init=3
+        )
+        session.run()
+        assert vault.info(session.run_id).status == "done"
+        assert vault.gc(dry_run=True) == []
+        assert vault.gc() == []
+        with pytest.raises(VaultError, match="held by live process"):
+            vault.delete(session.run_id)
+        session.close()  # still checkpoints into its run directory
+        assert vault.gc() == [session.run_id]
+        assert vault.run_ids() == []
+
+    def test_refused_session_leaves_no_run(self, tmp_path):
+        vault = RunVault(tmp_path)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            vault.open_session(
+                "forrester", "random_search", budget=4, n_init=3,
+                checkpoint_every=0,
+            )
+        assert vault.run_ids() == []
+
     def test_delete_unknown_run_raises(self, tmp_path):
         with pytest.raises(VaultError, match="no run"):
             RunVault(tmp_path).delete("nope")
